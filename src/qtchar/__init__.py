@@ -19,15 +19,11 @@ from .yalgebra import (
     e_decompose,
     e_expansion,
     forget_spectral,
-    is_i_dominant,
-    is_l_dominant,
     is_right_negative,
     leq,
     monomial_from_rational_tuple,
     pairing_d,
     specialize_t,
-    spectral,
-    u_exponent,
     v_profile,
 )
 from .engine import (
@@ -57,5 +53,4 @@ from .crystal import (
     verify_crystal_axioms,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

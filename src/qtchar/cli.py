@@ -28,6 +28,7 @@ from .yalgebra import (
     DrinfeldData,
     Monomial,
     Spectral,
+    a_monomial,
     character_to_json,
     specialize_t,
     v_profile,
@@ -44,13 +45,13 @@ def parse_diagram(text: str) -> DynkinDiagram:
         n = int(rank)
     except ValueError:
         raise UsageError(f"bad diagram {text!r}: expected A:<n> or D:<n>")
-    if kind == "A":
-        return DynkinDiagram.type_a(n)
-    if kind == "D":
-        if n < 4:
-            raise UsageError(f"bad diagram {text!r}: type D needs rank >= 4")
-        return DynkinDiagram.type_d(n)
-    raise UsageError(f"bad diagram {text!r}: unknown type {kind!r}")
+    builders = {"A": DynkinDiagram.type_a, "D": DynkinDiagram.type_d}
+    if kind not in builders:
+        raise UsageError(f"bad diagram {text!r}: unknown type {kind!r}")
+    try:
+        return builders[kind](n)
+    except QtcharError as exc:
+        raise UsageError(f"bad diagram {text!r}: {exc}")
 
 
 def parse_factors(d: DynkinDiagram, text: str) -> List[FundamentalSpec]:
@@ -259,8 +260,6 @@ def cmd_verify(d, factors, args) -> Tuple[int, str]:
         m = mp
         for _ in range(rng.randint(0, 4)):
             i = rng.randint(1, d.rank)
-            from .yalgebra import a_monomial
-
             m = m * a_monomial(d, i, Spectral("a", rng.randint(-3, 3))).inv()
         vp = v_profile(d, m, mp)
         if vp is None:

@@ -18,7 +18,7 @@ import os
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import CapExceededError, NotInParitySetError, NotLDominantError, QtcharError
-from .rootdata import DynkinDiagram, Weight, bipartite_coloring, simple_root
+from .rootdata import DynkinDiagram, bipartite_coloring, simple_root
 from .yalgebra import Monomial, Spectral, a_monomial
 
 DEFAULT_VERTEX_CAP = 10**6
@@ -72,10 +72,6 @@ def q_index(m: Monomial, i: int) -> Optional[int]:
     if f == 0:
         return None
     return min(k for k, _ in _node_line(m, i) if phi_n(m, i, k) == f)
-
-
-def weight(m: Monomial) -> Weight:
-    return m.weight()
 
 
 def kashiwara_e(
@@ -174,6 +170,20 @@ class CrystalGraph:
         return "\n".join(lines)
 
 
+def _env_vertex_cap() -> int:
+    """The vertex cap from QCHAR_MAX_VERTICES, DEFAULT_VERTEX_CAP when unset."""
+    text = os.environ.get("QCHAR_MAX_VERTICES")
+    if text is None:
+        return DEFAULT_VERTEX_CAP
+    try:
+        cap = int(text)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise QtcharError(f"QCHAR_MAX_VERTICES must be a positive integer, got {text!r}")
+
+
 def generate_crystal(
     d: DynkinDiagram,
     m0: Monomial,
@@ -188,7 +198,7 @@ def generate_crystal(
     elif not in_parity_set(d, m0, coloring):
         raise NotInParitySetError(f"{m0} violates the given coloring")
     if cap is None:
-        cap = int(os.environ.get("QCHAR_MAX_VERTICES", DEFAULT_VERTEX_CAP))
+        cap = _env_vertex_cap()
     seen = {m0}
     queue = [m0]
     edges = []
@@ -213,7 +223,7 @@ def verify_crystal_axioms(g: CrystalGraph) -> List[str]:
     problems = []
     edge_set = g.edges
     for m in g.sorted_vertices():
-        wt = weight(m)
+        wt = m.weight()
         for i in d.nodes:
             if phi(m, i) - eps(m, i) != wt.coeff(i):
                 problems.append(f"phi-eps mismatch at {m}, direction {i}")
@@ -224,7 +234,7 @@ def verify_crystal_axioms(g: CrystalGraph) -> List[str]:
                 problems.append(f"missing edge {m} -{i}-> {m2}")
             if kashiwara_e(d, m2, i) != m:
                 problems.append(f"raise(lower) != id at {m}, direction {i}")
-            if weight(m2) != wt - simple_root(d, i):
+            if m2.weight() != wt - simple_root(d, i):
                 problems.append(f"weight step wrong at {m}, direction {i}")
             if eps(m2, i) != eps(m, i) + 1:
                 problems.append(f"eps step wrong at {m}, direction {i}")

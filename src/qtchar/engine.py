@@ -25,6 +25,7 @@ from .yalgebra import (
     DrinfeldData,
     Monomial,
     Spectral,
+    _twist_exponent,
     a_monomial,
     drop_degree,
     e_expansion,
@@ -151,15 +152,13 @@ def twisted_product(
         bad = [m for m, v in vs.items() if v is None]
         if bad:
             raise NotComparableError(f"{tag} term {bad[0]} is not below {mp}")
+    # the half of the twist that depends on m2 alone, once per m2
+    right = [(m2, c2, _twist_exponent({}, m2, mp1, v2s[m2])) for m2, c2 in chi2.items()]
     terms: Dict[Monomial, IntLaurent] = {}
     for m1, c1 in chi1.items():
         v1 = v1s[m1]
-        for m2, c2 in chi2.items():
-            tw = 0
-            for (i, a), v in v1.items():
-                tw += v * m2.u(i, a.shift(-1))
-            for (i, a), v in v2s[m2].items():
-                tw += mp1.u(i, a.shift(1)) * v
+        for m2, c2, tw2 in right:
+            tw = tw2 + _twist_exponent(v1, m2, mp1, {})
             key = m1 * m2
             add = (c1 * c2).shifted(2 * tw)
             prev = terms.get(key)
@@ -210,10 +209,6 @@ class GammaGraph:
             self.edges,
             key=lambda e: (e[0].sort_key(), e[2], e[3].base, e[3].qexp),
         )
-
-    def edge_labels(self) -> List[Tuple[int, Spectral]]:
-        return sorted(((i, a) for (_, _, i, a) in self.edges),
-                      key=lambda la: (la[0], la[1].base, la[1].qexp))
 
     def to_dot(self) -> str:
         lines = ["digraph character {"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Tuple
 
 
 class IntLaurent:
@@ -132,13 +132,6 @@ class IntLaurent:
 
 ZERO = IntLaurent.zero()
 ONE = IntLaurent.one()
-
-
-def from_pairs(pairs: Iterable[Tuple[int, int]]) -> IntLaurent:
-    c: dict[int, int] = {}
-    for e, v in pairs:
-        c[e] = c.get(e, 0) + v
-    return IntLaurent(c)
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,8 @@ t^(2d(T)) m_T with d summed over ordered column pairs.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import combinations
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .engine import FundamentalSpec, order_factors
 from .errors import OutOfRangeError
@@ -22,7 +22,6 @@ from .yalgebra import (
     Monomial,
     Spectral,
     pairing_d,
-    v_profile,
 )
 
 
@@ -176,47 +175,49 @@ def d_columns_via_pairing(d: DynkinDiagram, ca: AColumn, cb: AColumn) -> int:
     return pairing_d(d, ma, pa, mb, pb)
 
 
-def shape_of(p: DrinfeldData) -> List[FundamentalSpec]:
-    return order_factors(FundamentalSpec(node, a) for node, a in p.roots)
+def _tableaux_sum(
+    d: DynkinDiagram, pools: List[List[tuple]], twist: Callable[[tuple, tuple], int]
+) -> Character:
+    """Sum of t^(2 sum l + 2 sum twist) m_T over tableaux with one column per pool.
 
+    pools[k] holds rows that start (column, monomial, l-degree), one per
+    column of the k-th ordered factor; twist(row_alpha, row_beta) is the pair
+    statistic of an ordered column pair.  It is tabulated once per pool pair
+    alpha < beta, so the walk over tableaux only multiplies monomials and
+    looks twists up; each prefix's monomial and exponent are shared by all of
+    its extensions.
+    """
+    tables = [
+        [[[twist(x, y) for y in pools[b]] for x in pools[a]] for a in range(b)]
+        for b in range(len(pools))
+    ]
+    terms: Dict[Monomial, Dict[int, int]] = {}
 
-def enumerate_tableaux(n: int, shape: List[FundamentalSpec]) -> Iterator[Tableau]:
-    """Column-increasing tableaux of the given shape, streamed."""
-    pools = [enumerate_fundamental_columns(n, f.node, f.spectral) for f in shape]
-    return (tuple(cols) for cols in product(*pools))
+    def place(b: int, chosen: Tuple[int, ...], mono: Monomial, expo: int) -> None:
+        if b == len(pools):
+            c = terms.setdefault(mono, {})
+            c[2 * expo] = c.get(2 * expo, 0) + 1
+            return
+        rows = [tables[b][a][j] for a, j in enumerate(chosen)]
+        for k, row in enumerate(pools[b]):
+            twist_k = sum(r[k] for r in rows)
+            place(b + 1, chosen + (k,), mono * row[1], expo + row[2] + twist_k)
+
+    place(0, (), Monomial.one(), 0)
+    return Character(d, {m: IntLaurent(c) for m, c in terms.items()})
 
 
 def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
-    """Tableaux sum for a product module: sum of t^(2d(T)) m_T."""
+    """Tableaux sum for a product module: sum of t^(2d(T)) m_T, d from d_columns."""
     if d.kind != "A":
         raise OutOfRangeError("type A tableaux need a type A diagram")
     n = d.rank
-    shape = shape_of(p)
-    pools = []
-    for f in shape:
-        cols = []
-        for col in enumerate_fundamental_columns(n, f.node, f.spectral):
-            m = column_monomial(n, col)
-            cols.append((col, m, v_profile(d, m, f.top)))
-        pools.append((f, cols))
-    terms: Dict[Monomial, IntLaurent] = {}
-    for choice in product(*(cols for _, cols in pools)):
-        mono = Monomial.one()
-        twist = 0
-        for beta in range(len(choice)):
-            _, mb, vb = choice[beta]
-            mono = mono * mb
-            for alpha in range(beta):
-                fa = pools[alpha][0]
-                _, ma, va = choice[alpha]
-                for (i, a), v in va.items():
-                    twist += v * mb.u(i, a.shift(-1))
-                for (i, a), v in vb.items():
-                    twist += fa.top.u(i, a.shift(1)) * v
-        add = IntLaurent.term(1, 2 * twist)
-        prev = terms.get(mono)
-        terms[mono] = add if prev is None else prev + add
-    return Character(d, terms)
+    pools = [
+        [(col, column_monomial(n, col), 0)
+         for col in enumerate_fundamental_columns(n, f.node, f.spectral)]
+        for f in order_factors(FundamentalSpec(node, a) for node, a in p.roots)
+    ]
+    return _tableaux_sum(d, pools, lambda x, y: d_columns(x[0], y[0]))
 
 
 # ---------------------------------------------------------------------------

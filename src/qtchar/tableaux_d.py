@@ -18,6 +18,7 @@ from .engine import FundamentalSpec, order_factors
 from .errors import OutOfRangeError, QtcharError
 from .laurent import IntLaurent, ONE
 from .rootdata import DynkinDiagram
+from .tableaux_a import _tableaux_sum
 from .yalgebra import (
     Character,
     DrinfeldData,
@@ -494,7 +495,8 @@ def closed_v_spin(n: int, col: SpinColumn, i: int, s: int) -> int:
 
 
 def _column_pool(d: DynkinDiagram, f: FundamentalSpec):
-    """Columns realizing one fundamental factor, with monomial and drops."""
+    """(column, monomial, l-degree, head, drops below the head) rows for the
+    columns realizing one fundamental factor."""
     n = d.rank
     if f.node <= n - 2:
         cols: List[Column] = list(enumerate_fundamental_columns(n, f.node, f.spectral))
@@ -503,11 +505,28 @@ def _column_pool(d: DynkinDiagram, f: FundamentalSpec):
         cols = list(enumerate_spin(n, f.spectral, chir))
     else:
         raise OutOfRangeError(f"node {f.node} outside rank {n}")
+    top = f.top
     out = []
     for col in cols:
         m = column_monomial(n, col)
-        out.append((col, m, v_profile(d, m, f.top), l_degree(n, col)))
+        out.append((col, m, l_degree(n, col), top, v_profile(d, m, top)))
     return out
+
+
+def _pair_twist(a: tuple, b: tuple) -> int:
+    """Twist exponent of an ordered column pair, given their _column_pool rows.
+
+    Sums a's drops at (i,cq) against u(b's monomial) at (i,c), plus u(a's
+    head) at (i,cq) against b's drops at (i,c).
+    """
+    _, _, _, top_a, va = a
+    _, mb, _, _, vb = b
+    total = 0
+    for (i, c), v in va.items():
+        total += v * mb.u(i, c.shift(-1))
+    for (i, c), v in vb.items():
+        total += top_a.u(i, c.shift(1)) * v
+    return total
 
 
 def d_tableau(d: DynkinDiagram, t: DTableau, p: DrinfeldData) -> int:
@@ -519,23 +538,14 @@ def d_tableau(d: DynkinDiagram, t: DTableau, p: DrinfeldData) -> int:
     shape = order_factors(FundamentalSpec(node, a) for node, a in p.roots)
     if len(shape) != len(t):
         raise QtcharError("tableau width differs from the factor count")
-    data = []
+    rows = []
     for f, col in zip(shape, t):
         m = column_monomial(n, col)
         vp = v_profile(d, m, f.top)
         if vp is None:
             raise QtcharError(f"column {col} does not realize factor {f}")
-        data.append((f, m, vp))
-    total = 0
-    for beta in range(len(data)):
-        fb, mb, vb = data[beta]
-        for alpha in range(beta):
-            fa, ma, va = data[alpha]
-            for (i, a), v in va.items():
-                total += v * mb.u(i, a.shift(-1))
-            for (i, a), v in vb.items():
-                total += fa.top.u(i, a.shift(1)) * v
-    return total
+        rows.append((col, m, l_degree(n, col), f.top, vp))
+    return sum(_pair_twist(rows[a], rows[b]) for b in range(len(rows)) for a in range(b))
 
 
 def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
@@ -543,26 +553,7 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
     shape = order_factors(FundamentalSpec(node, a) for node, a in p.roots)
-    pools = [(f, _column_pool(d, f)) for f in shape]
-    terms: Dict[Monomial, IntLaurent] = {}
-    for choice in product(*(pool for _, pool in pools)):
-        mono = Monomial.one()
-        expo = 0
-        for beta in range(len(choice)):
-            _, mb, vb, lb = choice[beta]
-            mono = mono * mb
-            expo += lb
-            for alpha in range(beta):
-                fa = pools[alpha][0]
-                _, ma, va, _ = choice[alpha]
-                for (i, a), v in va.items():
-                    expo += v * mb.u(i, a.shift(-1))
-                for (i, a), v in vb.items():
-                    expo += fa.top.u(i, a.shift(1)) * v
-        add = IntLaurent.term(1, 2 * expo)
-        prev = terms.get(mono)
-        terms[mono] = add if prev is None else prev + add
-    return Character(d, terms)
+    return _tableaux_sum(d, [_column_pool(d, f) for f in shape], _pair_twist)
 
 
 # ---------------------------------------------------------------------------

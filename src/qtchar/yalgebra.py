@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -38,10 +39,6 @@ class Spectral(NamedTuple):
         if self.qexp == 1:
             return f"{self.base}q"
         return f"{self.base}q^{self.qexp}"
-
-
-def spectral(base: str = "a", qexp: int = 0) -> Spectral:
-    return Spectral(base, qexp)
 
 
 def _var_key(item):
@@ -157,18 +154,6 @@ class Monomial:
 _UNIT = Monomial()
 
 
-def u_exponent(m: Monomial, i: int, a: Spectral) -> int:
-    return m.u(i, a)
-
-
-def is_i_dominant(m: Monomial, i: int) -> bool:
-    return m.is_i_dominant(i)
-
-
-def is_l_dominant(m: Monomial) -> bool:
-    return m.is_l_dominant()
-
-
 def a_monomial(d: DynkinDiagram, i: int, a: Spectral) -> Monomial:
     """The root monomial: Y(i,aq) Y(i,aq^-1) times Y(j,a)^-1 over neighbors j."""
     d._check_node(i)
@@ -182,9 +167,11 @@ def a_monomial(d: DynkinDiagram, i: int, a: Spectral) -> Monomial:
 # The order on monomials and the root-monomial exponent family
 
 
-def v_profile(
-    d: DynkinDiagram, m: Monomial, mp: Monomial
-) -> Optional[Dict[Tuple[int, Spectral], int]]:
+# Drop profile: root-monomial exponents v keyed by (node, spectral parameter)
+Profile = Dict[Tuple[int, Spectral], int]
+
+
+def v_profile(d: DynkinDiagram, m: Monomial, mp: Monomial) -> Optional[Profile]:
     """Nonnegative exponents v with m = mp * prod A(i,a)^-v, or None.
 
     Solved per base by the forward recurrence in ascending q-exponent, then
@@ -255,15 +242,9 @@ def _height_weights(d: DynkinDiagram) -> Tuple[Tuple[int, ...], int]:
     sol = [rows[i][n] for i in range(n)]
     scale = 1
     for f in sol:
-        scale = scale * f.denominator // _gcd(scale, f.denominator)
+        scale = scale * f.denominator // gcd(scale, f.denominator)
     weights = tuple(int(f * scale) for f in sol)
     return weights, scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _height(d: DynkinDiagram, m: Monomial) -> int:
@@ -339,14 +320,6 @@ class Character:
 
     def scaled(self, c: IntLaurent) -> "Character":
         return Character(self.diagram, {m: v * c for m, v in self._t.items()})
-
-    def times_monomial(self, m0: Monomial) -> "Character":
-        return Character(self.diagram, {m0 * m: c for m, c in self._t.items()})
-
-    def added_term(self, m: Monomial, c: IntLaurent) -> "Character":
-        t = dict(self._t)
-        t[m] = t.get(m, IntLaurent.zero()) + c
-        return Character(self.diagram, t)
 
     def __str__(self) -> str:
         if not self._t:
@@ -439,6 +412,20 @@ def e_decompose(
     return blocks
 
 
+def _twist_exponent(v1: Profile, m2: Monomial, mp1: Monomial, v2: Profile) -> int:
+    """pairing_d on precomputed drop profiles v1 = v(m1,mp1), v2 = v(m2,mp2).
+
+    An empty profile drops its half of the sum, so a caller can compute the
+    half that depends on one term only once.
+    """
+    total = 0
+    for (i, a), v in v1.items():
+        total += v * m2.u(i, a.shift(-1))
+    for (i, a), v in v2.items():
+        total += mp1.u(i, a.shift(1)) * v
+    return total
+
+
 def pairing_d(
     d: DynkinDiagram, m1: Monomial, mp1: Monomial, m2: Monomial, mp2: Monomial
 ) -> int:
@@ -453,12 +440,7 @@ def pairing_d(
     v2 = v_profile(d, m2, mp2)
     if v2 is None:
         raise NotComparableError(f"{m2} is not below {mp2}")
-    total = 0
-    for (i, a), v in v1.items():
-        total += v * m2.u(i, a.shift(-1))
-    for (i, a), v in v2.items():
-        total += mp1.u(i, a.shift(1)) * v
-    return total
+    return _twist_exponent(v1, m2, mp1, v2)
 
 
 # ---------------------------------------------------------------------------

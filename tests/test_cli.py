@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qtchar.cli import parse_diagram, parse_factors, run
+from qtchar.cli import UsageError, parse_diagram, parse_factors, run
 from qtchar.yalgebra import character_from_json, character_to_json
 from qtchar.rootdata import DynkinDiagram
 
@@ -10,8 +10,8 @@ from qtchar.rootdata import DynkinDiagram
 def test_parse_diagram():
     assert parse_diagram("A:2").kind == "A"
     assert parse_diagram("D:4").rank == 4
-    for bad in ("E:6", "A2", "D:3", "A:x"):
-        with pytest.raises(Exception):
+    for bad in ("E:6", "A2", "D:3", "A:x", "A:0"):
+        with pytest.raises(UsageError):
             parse_diagram(bad)
 
 
@@ -22,8 +22,6 @@ def test_parse_factors_position_precise_errors():
         (1, "a", 0),
         (4, "b", 2),
     ]
-    from qtchar.cli import UsageError
-
     with pytest.raises(UsageError, match="factor 2"):
         parse_factors(d, "1:a:0,9:a:0")
     with pytest.raises(UsageError, match="factor 1"):

@@ -14,10 +14,9 @@ from qtchar.crystal import (
     phi_n,
     q_index,
     verify_crystal_axioms,
-    weight,
     CrystalGraph,
 )
-from qtchar.errors import CapExceededError, NotLDominantError, NotInParitySetError
+from qtchar.errors import CapExceededError, NotLDominantError, NotInParitySetError, QtcharError
 from qtchar.rootdata import DynkinDiagram, Weight, weyl_dimension
 from qtchar.yalgebra import Monomial
 
@@ -39,7 +38,7 @@ def test_statistics():
     assert eps(m, 2) == 1 and p_index(m, 2) == 3
     assert p_index(m0, 1) is None  # eps = 0
     assert q_index(ym((1, 0, -1)), 1) is None  # phi = 0
-    assert weight(m0) == Weight({1: 1, 2: 1})
+    assert m0.weight() == Weight({1: 1, 2: 1})
 
 
 def test_operators_match_worked_example(a2):
@@ -181,6 +180,17 @@ def test_generate_rejects_bad_input(a2):
         generate_crystal(a2, ym((1, 0, -1)))
     with pytest.raises(CapExceededError):
         generate_crystal(a2, ym((1, 0), (2, 1)), cap=3)
+
+
+def test_vertex_cap_from_environment(a2, monkeypatch):
+    m0 = ym((1, 0), (2, 1))
+    monkeypatch.setenv("QCHAR_MAX_VERTICES", "3")
+    with pytest.raises(CapExceededError, match="3 vertices"):
+        generate_crystal(a2, m0)
+    for bad in ("abc", "-3", "0"):
+        monkeypatch.setenv("QCHAR_MAX_VERTICES", bad)
+        with pytest.raises(QtcharError, match="QCHAR_MAX_VERTICES"):
+            generate_crystal(a2, m0)
 
 
 def test_corrupted_graph_is_reported(a2):

@@ -14,7 +14,6 @@ from qtchar.tableaux_a import (
     d_columns,
     d_columns_via_pairing,
     enumerate_fundamental_columns,
-    enumerate_tableaux,
     full_column,
     fundamental_char_tableaux,
     is_equivalent,
@@ -22,7 +21,6 @@ from qtchar.tableaux_a import (
     pad_to_equivalent,
     render_text,
     s_offset,
-    shape_of,
     standard_char_tableaux,
     tableau_monomial,
     tableau_monomial_by_counts,
@@ -139,6 +137,9 @@ def test_closed_pair_statistic_matches_pairing_exhaustive(a2, a3):
         for N in range(1, n + 1):
             for k in range(-4, 5):
                 cols += enumerate_fundamental_columns(n, N, q(k))
+            # a second base: pairs across bases carry no twist
+            for k in (-1, 0, 1):
+                cols += enumerate_fundamental_columns(n, N, q(k, "b"))
         for x in cols:
             for y in cols:
                 assert d_columns(x, y) == d_columns_via_pairing(d, x, y), (x, y)
@@ -177,6 +178,16 @@ def test_standard_tableaux_worked_examples(a2):
     assert chi3 == standard_character(a2, p3)
     assert len(chi3) == 9 and all(c == ONE for _, c in chi3.items())
 
+    # three and four factors: repeated, adjacent and cross-base roots
+    a3 = DynkinDiagram.type_a(3)
+    for d, roots in (
+        (a3, [(1, q(0)), (2, q(1)), (1, q(2)), (2, q(3))]),
+        (a2, [(1, q(0)), (1, q(0)), (2, q(1))]),
+        (a3, [(2, q(0)), (1, q(0, "b")), (1, q(1))]),
+    ):
+        p = DrinfeldData(roots)
+        assert standard_char_tableaux(d, p) == standard_character(d, p), roots
+
 
 def test_standard_tableaux_differential_all_two_factor_products():
     # every two-factor datum over ranks 2 and 3 with small q-exponents,
@@ -189,13 +200,6 @@ def test_standard_tableaux_differential_all_two_factor_products():
                 p = DrinfeldData([(n1, q(k1)), (n2, q(k2))])
                 expected = standard_character(d, p)
                 assert standard_char_tableaux(d, p) == expected
-
-
-def test_enumerate_tableaux_stream(a2):
-    shape = shape_of(DrinfeldData([(1, q(0)), (2, q(1))]))
-    ts = list(enumerate_tableaux(2, shape))
-    assert len(ts) == 9
-    assert all(len(t) == 2 for t in ts)
 
 
 def test_equivalence():

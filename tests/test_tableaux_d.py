@@ -250,9 +250,12 @@ def test_standard_tableaux_products(d4):
         [(1, 0), (4, 1)],  # mixed vector and spin
         [(4, 0), (4, 2)],
         [(3, 0), (4, 0)],
+        [(1, 0), (2, 1), (3, 2)],
+        [(4, 0), (3, 1), (4, 2)],  # spin+, spin-, spin+
+        [(1, 0), (4, 1), (1, 1, "b")],  # cross-base
     ]
     for roots in cases:
-        p = DrinfeldData([(node, q(k)) for node, k in roots])
+        p = DrinfeldData([(node, q(*k)) for node, *k in roots])
         assert standard_char_tableaux(d4, p) == standard_character(d4, p), roots
 
 
