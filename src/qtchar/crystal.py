@@ -6,10 +6,6 @@ position read off those statistics.  On the parity-restricted set (node-i
 exponents vanish at q-degrees congruent to the node's 2-coloring) the
 operators satisfy the crystal axioms, and the closure of a dominant monomial
 under the lowering operators realizes the highest-weight crystal.
-
-A sign variant with the two inverses exchanged (under which the lowering
-operator would raise the weight) is kept behind ``literal=True`` so the two
-orientations can be compared; the weight-lowering one is the default.
 """
 
 from __future__ import annotations
@@ -40,60 +36,54 @@ def phi_n(m: Monomial, i: int, n: int) -> int:
     return sum(v for k, v in _node_line(m, i) if k <= n)
 
 
-def eps(m: Monomial, i: int) -> int:
+def _line_stats(m: Monomial, i: int) -> Tuple[int, int, Optional[int], Optional[int]]:
+    """(eps, phi, p_index, q_index) from one pass each way along the node line."""
     line = _node_line(m, i)
-    best, run = 0, 0
-    for _, v in reversed(line):
+    e, p, run = 0, None, 0
+    for k, v in reversed(line):
         run -= v
-        best = max(best, run)
-    return best
+        if run > e:
+            e, p = run, k
+    f, qn, run = 0, None, 0
+    for k, v in line:
+        run += v
+        if run > f:
+            f, qn = run, k
+    return e, f, p, qn
+
+
+def eps(m: Monomial, i: int) -> int:
+    return _line_stats(m, i)[0]
 
 
 def phi(m: Monomial, i: int) -> int:
-    line = _node_line(m, i)
-    best, run = 0, 0
-    for _, v in line:
-        run += v
-        best = max(best, run)
-    return best
+    return _line_stats(m, i)[1]
 
 
 def p_index(m: Monomial, i: int) -> Optional[int]:
     """Largest n where the eps partial sum peaks; None when eps is zero."""
-    e = eps(m, i)
-    if e == 0:
-        return None
-    return max(k for k, _ in _node_line(m, i) if eps_n(m, i, k) == e)
+    return _line_stats(m, i)[2]
 
 
 def q_index(m: Monomial, i: int) -> Optional[int]:
     """Smallest n where the phi partial sum peaks; None when phi is zero."""
-    f = phi(m, i)
-    if f == 0:
-        return None
-    return min(k for k, _ in _node_line(m, i) if phi_n(m, i, k) == f)
+    return _line_stats(m, i)[3]
 
 
-def kashiwara_e(
-    d: DynkinDiagram, m: Monomial, i: int, literal: bool = False
-) -> Optional[Monomial]:
+def kashiwara_e(d: DynkinDiagram, m: Monomial, i: int) -> Optional[Monomial]:
     """Raising operator: multiply by A(i, q^(p-1)); None when eps is zero."""
     p = p_index(m, i)
     if p is None:
         return None
-    step = a_monomial(d, i, Spectral(m.single_base(), p - 1))
-    return m * (step.inv() if literal else step)
+    return m * a_monomial(d, i, Spectral(m.single_base(), p - 1))
 
 
-def kashiwara_f(
-    d: DynkinDiagram, m: Monomial, i: int, literal: bool = False
-) -> Optional[Monomial]:
+def kashiwara_f(d: DynkinDiagram, m: Monomial, i: int) -> Optional[Monomial]:
     """Lowering operator: divide by A(i, q^(q+1)); None when phi is zero."""
     qn = q_index(m, i)
     if qn is None:
         return None
-    step = a_monomial(d, i, Spectral(m.single_base(), qn + 1))
-    return m * (step if literal else step.inv())
+    return m * a_monomial(d, i, Spectral(m.single_base(), qn + 1)).inv()
 
 
 def in_parity_set(d: DynkinDiagram, m: Monomial, coloring: Dict[int, int]) -> bool:
@@ -221,25 +211,33 @@ def verify_crystal_axioms(g: CrystalGraph) -> List[str]:
     """Check the defining identities on every vertex; returns violations."""
     d = g.diagram
     problems = []
-    edge_set = g.edges
+    roots = {i: simple_root(d, i) for i in d.nodes}
+    lowering_edges = 0
     for m in g.sorted_vertices():
         wt = m.weight()
+        base = m.single_base()
         for i in d.nodes:
-            if phi(m, i) - eps(m, i) != wt.coeff(i):
+            e1, f1, _, qn = _line_stats(m, i)
+            if f1 - e1 != wt.coeff(i):
                 problems.append(f"phi-eps mismatch at {m}, direction {i}")
-            m2 = kashiwara_f(d, m, i)
-            if m2 is None:
+            if qn is None:
                 continue
-            if (m, m2, i) not in edge_set and m2 in g.vertices:
+            m2 = m * a_monomial(d, i, Spectral(base, qn + 1)).inv()
+            if (m, m2, i) in g.edges:
+                lowering_edges += 1
+            elif m2 in g.vertices:
                 problems.append(f"missing edge {m} -{i}-> {m2}")
-            if kashiwara_e(d, m2, i) != m:
+            e2, f2, p2, _ = _line_stats(m2, i)
+            if p2 is None or m2 * a_monomial(d, i, Spectral(base, p2 - 1)) != m:
                 problems.append(f"raise(lower) != id at {m}, direction {i}")
-            if m2.weight() != wt - simple_root(d, i):
+            if m2.weight() != wt - roots[i]:
                 problems.append(f"weight step wrong at {m}, direction {i}")
-            if eps(m2, i) != eps(m, i) + 1:
+            if e2 != e1 + 1:
                 problems.append(f"eps step wrong at {m}, direction {i}")
-            if phi(m2, i) != phi(m, i) - 1:
+            if f2 != f1 - 1:
                 problems.append(f"phi step wrong at {m}, direction {i}")
+    if lowering_edges == len(g.edges):  # every edge was met as a lowering step
+        return problems
     for m, m2, i in g.sorted_edges():
         if kashiwara_f(d, m, i) != m2:
             problems.append(f"edge {m} -{i}-> {m2} is not a lowering step")

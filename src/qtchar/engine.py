@@ -225,22 +225,37 @@ class GammaGraph:
 
 
 def gamma_graph(chi: Character) -> GammaGraph:
-    """All-pairs edge detection over the character's support."""
+    """Edges m1 -> m1 * A(i,a)^-1 within the support, for every base, every
+    q-shift from one below to one above that base's span, and every node.
+
+    The support is indexed by the additive fingerprint h(m) = sum of e *
+    hash(node, a); a drop subtracts h(A(i,a)), and only a fingerprint hit
+    forms the product and looks it up, so collisions cannot change an edge.
+    """
     d = chi.diagram
     support = set(chi._t)
+
+    def h(m: Monomial) -> int:
+        return sum(e * hash(k) for k, e in m.items())
+
     qexps: Dict[str, set] = {}
     for m in support:
         for (_, a), _ in m.items():
             qexps.setdefault(a.base, set()).add(a.qexp)
+    drops = []
+    for base, ks in qexps.items():
+        for s in range(min(ks) - 1, max(ks) + 2):
+            a = Spectral(base, s)
+            for i in d.nodes:
+                step = a_monomial(d, i, a)
+                drops.append((h(step), i, a, step.inv()))
+    prints = {h(m) for m in support}
     edges = []
     for m1 in support:
-        for base, ks in qexps.items():
-            if not ks:
-                continue
-            for s in range(min(ks) - 1, max(ks) + 2):
-                a = Spectral(base, s)
-                for i in d.nodes:
-                    m2 = m1 * a_monomial(d, i, a).inv()
-                    if m2 in support:
-                        edges.append((m1, m2, i, a))
+        h1 = h(m1)
+        for hs, i, a, down in drops:
+            if h1 - hs in prints:
+                m2 = m1 * down
+                if m2 in support:
+                    edges.append((m1, m2, i, a))
     return GammaGraph(d, {m: chi.coeff(m) for m in support}, edges)

@@ -61,7 +61,16 @@ class DynkinDiagram:
 
     @staticmethod
     def general(rank: int, edges: Iterable[Tuple[int, int]]) -> "DynkinDiagram":
-        return DynkinDiagram("general", rank, edges)
+        """A finite-type diagram: every Cartan pivot (no row exchange) is positive."""
+        d = DynkinDiagram("general", rank, edges)
+        rows = [[Fraction(d.cartan_entry(i, j)) for j in d.nodes] for i in d.nodes]
+        for k in range(rank):
+            if rows[k][k] <= 0:
+                raise QtcharError(f"{d!r} is not of finite type")
+            for r in range(k + 1, rank):
+                f = rows[r][k] / rows[k][k]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[k])]
+        return d
 
     @property
     def nodes(self) -> range:

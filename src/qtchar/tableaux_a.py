@@ -176,19 +176,23 @@ def d_columns_via_pairing(d: DynkinDiagram, ca: AColumn, cb: AColumn) -> int:
 
 
 def _tableaux_sum(
-    d: DynkinDiagram, pools: List[List[tuple]], twist: Callable[[tuple, tuple], int]
+    d: DynkinDiagram,
+    factors: List[FundamentalSpec],
+    pools: List[List[tuple]],
+    twist: Callable[[tuple, tuple], int],
 ) -> Character:
     """Sum of t^(2 sum l + 2 sum twist) m_T over tableaux with one column per pool.
 
     pools[k] holds rows that start (column, monomial, l-degree), one per
     column of the k-th ordered factor; twist(row_alpha, row_beta) is the pair
     statistic of an ordered column pair.  It is tabulated once per pool pair
-    alpha < beta, so the walk over tableaux only multiplies monomials and
-    looks twists up; each prefix's monomial and exponent are shared by all of
-    its extensions.
+    alpha < beta whose factors share a base (across bases every twist is 0),
+    so the walk over tableaux only multiplies monomials and looks twists up;
+    each prefix's monomial and exponent are shared by all of its extensions.
     """
     tables = [
-        [[[twist(x, y) for y in pools[b]] for x in pools[a]] for a in range(b)]
+        [(a, [[twist(x, y) for y in pools[b]] for x in pools[a]])
+         for a in range(b) if factors[a].spectral.base == factors[b].spectral.base]
         for b in range(len(pools))
     ]
     terms: Dict[Monomial, Dict[int, int]] = {}
@@ -198,7 +202,7 @@ def _tableaux_sum(
             c = terms.setdefault(mono, {})
             c[2 * expo] = c.get(2 * expo, 0) + 1
             return
-        rows = [tables[b][a][j] for a, j in enumerate(chosen)]
+        rows = [table[chosen[a]] for a, table in tables[b]]
         for k, row in enumerate(pools[b]):
             twist_k = sum(r[k] for r in rows)
             place(b + 1, chosen + (k,), mono * row[1], expo + row[2] + twist_k)
@@ -212,12 +216,13 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
     if d.kind != "A":
         raise OutOfRangeError("type A tableaux need a type A diagram")
     n = d.rank
+    factors = order_factors(FundamentalSpec(node, a) for node, a in p.roots)
     pools = [
         [(col, column_monomial(n, col), 0)
          for col in enumerate_fundamental_columns(n, f.node, f.spectral)]
-        for f in order_factors(FundamentalSpec(node, a) for node, a in p.roots)
+        for f in factors
     ]
-    return _tableaux_sum(d, pools, lambda x, y: d_columns(x[0], y[0]))
+    return _tableaux_sum(d, factors, pools, lambda x, y: d_columns(x[0], y[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -553,7 +553,7 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
     shape = order_factors(FundamentalSpec(node, a) for node, a in p.roots)
-    return _tableaux_sum(d, [_column_pool(d, f) for f in shape], _pair_twist)
+    return _tableaux_sum(d, shape, [_column_pool(d, f) for f in shape], _pair_twist)
 
 
 # ---------------------------------------------------------------------------

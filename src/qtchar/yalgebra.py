@@ -19,6 +19,7 @@ from .errors import (
     NotDecomposableError,
     NotIDominantError,
     NotLDominantError,
+    QtcharError,
 )
 from .laurent import ONE, IntLaurent, t_binomial
 from .rootdata import DynkinDiagram, Weight
@@ -306,13 +307,21 @@ class Character:
             return NotImplemented
         return self._t == other._t
 
+    def _same_diagram(self, other: "Character") -> None:
+        if other.diagram != self.diagram:
+            raise QtcharError(
+                f"character arithmetic across {self.diagram!r} and {other.diagram!r}"
+            )
+
     def __add__(self, other: "Character") -> "Character":
+        self._same_diagram(other)
         t = dict(self._t)
         for m, c in other._t.items():
             t[m] = t.get(m, IntLaurent.zero()) + c
         return Character(self.diagram, t)
 
     def __sub__(self, other: "Character") -> "Character":
+        self._same_diagram(other)
         t = dict(self._t)
         for m, c in other._t.items():
             t[m] = t.get(m, IntLaurent.zero()) - c

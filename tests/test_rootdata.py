@@ -1,5 +1,6 @@
 import pytest
 
+from qtchar.engine import FundamentalSpec, fundamental_character
 from qtchar.errors import NonDominantError, OddCycleError, QtcharError
 from qtchar.rootdata import (
     DynkinDiagram,
@@ -9,6 +10,7 @@ from qtchar.rootdata import (
     simple_root,
     weyl_dimension,
 )
+from qtchar.yalgebra import Monomial, Spectral, drop_degree
 
 
 def test_cartan_entries(a2, d4):
@@ -29,10 +31,32 @@ def test_diagram_validation():
         DynkinDiagram.type_d(3)
 
 
+def test_general_diagram_must_be_finite_type():
+    # a 4-cycle's singular Cartan matrix would otherwise surface inside drop_degree
+    four_cycle = [(1, 2), (2, 3), (3, 4), (4, 1)]
+    triangle = [(1, 2), (2, 3), (1, 3)]
+    affine_d4 = [(1, 2), (1, 3), (1, 4), (1, 5)]
+    for rank, edges in ((4, four_cycle), (3, triangle), (5, affine_d4)):
+        with pytest.raises(QtcharError, match="not of finite type"):
+            DynkinDiagram.general(rank, edges)
+
+
+def test_general_e6_diagram():
+    e6 = DynkinDiagram.general(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
+    assert len(positive_roots(e6)) == 36
+    assert weyl_dimension(e6, Weight.fundamental(1)) == 27
+    top = Monomial.y(1, Spectral("a", 0))
+    chi = fundamental_character(e6, FundamentalSpec(1, Spectral("a", 0)))
+    assert len(chi) == 27
+    assert {drop_degree(e6, m, top) for m in chi.support()} == set(range(17))
+
+
 def test_bipartite_coloring(a3, d4):
     assert bipartite_coloring(a3) == {1: 0, 2: 1, 3: 0}
     assert bipartite_coloring(d4) == {1: 0, 2: 1, 3: 0, 4: 0}
-    triangle = DynkinDiagram.general(3, [(1, 2), (2, 3), (1, 3)])
+    # general() rejects the triangle as not of finite type; the bare
+    # constructor still builds it, and the coloring must catch the odd cycle
+    triangle = DynkinDiagram("general", 3, [(1, 2), (2, 3), (1, 3)])
     with pytest.raises(OddCycleError):
         bipartite_coloring(triangle)
 

@@ -10,6 +10,7 @@ from qtchar.errors import (
     NotDecomposableError,
     NotIDominantError,
     NotLDominantError,
+    QtcharError,
 )
 from qtchar.laurent import ONE, IntLaurent
 from qtchar.rootdata import DynkinDiagram
@@ -295,3 +296,12 @@ def test_character_canonical_order(a2):
     )
     keys = [m.sort_key() for m in chi.support()]
     assert keys == sorted(keys)
+
+
+def test_character_arithmetic_needs_one_diagram(a2, d5):
+    chi_a, chi_d = Character.unit(a2), Character.unit(d5)
+    assert chi_d + chi_d == Character(d5, {Monomial.one(): IntLaurent({0: 2})})
+    assert not chi_a - chi_a
+    for combine in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(QtcharError, match="arithmetic across"):
+            combine(chi_d, chi_a)
