@@ -226,7 +226,10 @@ class GammaGraph:
 
 def gamma_graph(chi: Character) -> GammaGraph:
     """Edges m1 -> m1 * A(i,a)^-1 within the support, for every base, every
-    q-shift from one below to one above that base's span, and every node.
+    q-shift strictly inside that base's span, and every node.
+
+    A(i, aq^s)^-1 puts a nonzero exponent at (i, aq^(s-1)) and (i, aq^(s+1)),
+    so a shift at or beyond either end of the span leaves the support.
 
     The support is indexed by the additive fingerprint h(m) = sum of e *
     hash(node, a); a drop subtracts h(A(i,a)), and only a fingerprint hit
@@ -244,7 +247,7 @@ def gamma_graph(chi: Character) -> GammaGraph:
             qexps.setdefault(a.base, set()).add(a.qexp)
     drops = []
     for base, ks in qexps.items():
-        for s in range(min(ks) - 1, max(ks) + 2):
+        for s in range(min(ks) + 1, max(ks)):
             a = Spectral(base, s)
             for i in d.nodes:
                 step = a_monomial(d, i, a)

@@ -9,6 +9,7 @@ t^(2d(T)) m_T with d summed over ordered column pairs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -25,12 +26,17 @@ from .yalgebra import (
 )
 
 
-class AColumn:
-    """Strict or general column: letters i_1..i_N at center a."""
+class Column:
+    """Entries at center a; row p (top first) sits at a q^(N+1-2p).
+
+    The one home of the row geometry of type A, vector and spin columns.
+    Columns are equal when they are of the same kind with the same entries
+    and center (spin columns also compare their chirality).
+    """
 
     __slots__ = ("entries", "center")
 
-    def __init__(self, entries: Iterable[int], center: Spectral):
+    def __init__(self, entries: Iterable, center: Spectral):
         self.entries = tuple(entries)
         self.center = center
         if not self.entries:
@@ -40,9 +46,36 @@ class AColumn:
     def length(self) -> int:
         return len(self.entries)
 
+    def entry(self, p: Optional[int]):
+        """Row p entry (1-based); None for p None or outside the column."""
+        if p is not None and 1 <= p <= len(self.entries):
+            return self.entries[p - 1]
+        return None
+
+    def rows(self) -> List[Tuple[Spectral, object]]:
+        """(spectral parameter, entry) per row, top row first."""
+        N = len(self.entries)
+        return [(self.center.shift(N + 1 - 2 * p), x) for p, x in enumerate(self.entries, 1)]
+
+    def _key(self) -> tuple:
+        return (type(self), self.entries, self.center)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Column):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class AColumn(Column):
+    """Strict or general column: letters i_1..i_N in 1..n+1 at center a."""
+
+    __slots__ = ()
+
     def support(self) -> List[Spectral]:
-        N = self.length
-        return [self.center.shift(N + 1 - 2 * p) for p in range(1, N + 1)]
+        return [b for b, _ in self.rows()]
 
     def value_at(self, b: Spectral) -> int:
         """Entry in the row at spectral parameter b, 0 off the support."""
@@ -53,14 +86,6 @@ class AColumn:
             return 0
         return self.entries[twice_p // 2 - 1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AColumn):
-            return NotImplemented
-        return (self.entries, self.center) == (other.entries, other.center)
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.center))
-
     def __repr__(self) -> str:
         body = ",".join(str(e) for e in self.entries)
         return f"[{body}]_{self.center}"
@@ -69,8 +94,12 @@ class AColumn:
 Tableau = Tuple[AColumn, ...]
 
 
+@lru_cache(maxsize=256)
 def box_monomial(n: int, i: int, a: Spectral) -> Monomial:
-    """Letter i at spectral a: Y(i-1, aq^i)^-1 Y(i, aq^(i-1)), ends truncated."""
+    """Letter i at spectral a: Y(i-1, aq^i)^-1 Y(i, aq^(i-1)), ends truncated.
+
+    Cached: the columns of one fundamental reuse at most (n+1)n boxes, and
+    monomials are immutable."""
     if not (1 <= i <= n + 1):
         raise OutOfRangeError(f"letter {i} outside 1..{n + 1}")
     e: Dict[Tuple[int, Spectral], int] = {}
@@ -83,9 +112,8 @@ def box_monomial(n: int, i: int, a: Spectral) -> Monomial:
 
 def column_monomial(n: int, col: AColumn) -> Monomial:
     out = Monomial.one()
-    N = col.length
-    for p, letter in enumerate(col.entries, start=1):
-        out = out * box_monomial(n, letter, col.center.shift(N + 1 - 2 * p))
+    for b, i in col.rows():
+        out = out * box_monomial(n, i, b)
     return out
 
 
@@ -99,13 +127,8 @@ def tableau_monomial(n: int, t: Tableau) -> Monomial:
 def tableau_monomial_by_counts(n: int, t: Tableau) -> Monomial:
     """Same monomial from row counts: exponent of Y(i,a) counts letter i at
     a q^(1-i) minus letter i+1 at a q^(-1-i)."""
-    counts: Dict[Tuple[int, Spectral], int] = {}
-    for col in t:
-        for b in col.support():
-            key = (col.value_at(b), b)
-            counts[key] = counts.get(key, 0) + 1
     e: Dict[Tuple[int, Spectral], int] = {}
-    for (letter, b), c in counts.items():
+    for (b, letter), c in _row_counts(t).items():
         if letter <= n:
             key = (letter, b.shift(letter - 1))
             e[key] = e.get(key, 0) + c
@@ -154,8 +177,7 @@ def d_columns(ca: AColumn, cb: AColumn) -> int:
     if s is None:
         return 0
     total = 0
-    for b in cb.support():
-        jb = cb.value_at(b)
+    for b, jb in cb.rows():
         if ca.value_at(b.shift(2)) < jb < ca.value_at(b):
             total += 1
     below = cb.value_at(ca.center.shift(-1 - ca.length))
@@ -229,16 +251,16 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
 # Equivalence, padding, and dominant column forms
 
 
-def _row_counts(t: Tableau) -> Dict[Tuple[Spectral, int], int]:
-    counts: Dict[Tuple[Spectral, int], int] = {}
+def _row_counts(t: Iterable[Column]) -> Dict[Tuple[Spectral, object], int]:
+    """How often each (spectral parameter, entry) row occurs in the columns."""
+    counts: Dict[Tuple[Spectral, object], int] = {}
     for col in t:
-        for b in col.support():
-            key = (b, col.value_at(b))
+        for key in col.rows():
             counts[key] = counts.get(key, 0) + 1
     return counts
 
 
-def is_equivalent(ta: Tableau, tb: Tableau) -> bool:
+def is_equivalent(ta: Iterable[Column], tb: Iterable[Column]) -> bool:
     """Same letter multiset in every row."""
     return _row_counts(ta) == _row_counts(tb)
 
@@ -254,7 +276,8 @@ def pad_to_equivalent(
 
     Succeeds exactly when the two monomials agree: the letter-i count at
     a q^(2n+2-2i) must then be independent of i, and that common defect says
-    how many full columns to add on each side.
+    how many full columns to add on each side.  Anchors are visited in
+    (base, qexp) order, so the pads come out in that order.
     """
     ca, cb = _row_counts(ta), _row_counts(tb)
 
@@ -266,7 +289,7 @@ def pad_to_equivalent(
         anchors.add(b.shift(2 * i - 2 * n - 2))
     pads_a: List[AColumn] = []
     pads_b: List[AColumn] = []
-    for anchor in anchors:
+    for anchor in sorted(anchors):
         vals = {diff(i, anchor.shift(2 * n + 2 - 2 * i)) for i in range(1, n + 2)}
         if len(vals) != 1:
             return None

@@ -5,20 +5,22 @@ with n and nbar incomparable.  Vector columns (length at most n-2) allow
 weakly separated consecutive entries: strictly increasing where comparable,
 with n/nbar free to alternate.  Spin columns take one letter from each pair
 {i, ibar}, sorted, under a parity rule on the position of the n-class entry.
-Both kinds place row p at center q^(N+1-2p) and multiply per-row box
-monomials; spin rows use half-size boxes.
+Both kinds are tableaux_a.Column subclasses, so row p sits at center
+q^(N+1-2p), and multiply per-row box monomials; spin rows use half-size
+boxes.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .engine import FundamentalSpec, order_factors
 from .errors import OutOfRangeError, QtcharError
-from .laurent import IntLaurent, ONE
+from .laurent import IntLaurent
 from .rootdata import DynkinDiagram
-from .tableaux_a import _tableaux_sum
+from .tableaux_a import Column, _row_counts, _tableaux_sum, is_equivalent
 from .yalgebra import (
     Character,
     DrinfeldData,
@@ -28,31 +30,16 @@ from .yalgebra import (
 )
 
 
-class Letter:
+class Letter(NamedTuple):
     """A letter i or ibar of the rank-n alphabet."""
 
-    __slots__ = ("value", "barred")
-
-    def __init__(self, value: int, barred: bool = False):
-        self.value = value
-        self.barred = barred
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Letter):
-            return NotImplemented
-        return (self.value, self.barred) == (other.value, other.barred)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.barred))
+    value: int
+    barred: bool = False
 
     def __str__(self) -> str:
         return f"{self.value}̄" if self.barred else str(self.value)
 
     __repr__ = __str__
-
-
-def letter(value: int, barred: bool = False) -> Letter:
-    return Letter(value, barred)
 
 
 def bar(value: int) -> Letter:
@@ -84,83 +71,40 @@ def admissible_step(n: int, x: Letter, y: Letter) -> bool:
     return not (x == y or prec(n, y, x))
 
 
-class DColumn:
+class DColumn(Column):
     """Vector column: letters at center a, rows spaced by q^2."""
 
-    __slots__ = ("entries", "center")
-
-    def __init__(self, entries: Iterable[Letter], center: Spectral):
-        self.entries = tuple(entries)
-        self.center = center
-        if not self.entries:
-            raise OutOfRangeError("column needs at least one row")
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    def entry(self, p: int) -> Optional[Letter]:
-        """Row p entry (1-based); None outside the column."""
-        if 1 <= p <= len(self.entries):
-            return self.entries[p - 1]
-        return None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DColumn):
-            return NotImplemented
-        return (self.entries, self.center) == (other.entries, other.center)
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.center, False))
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return "[" + ",".join(map(str, self.entries)) + f"]_{self.center}"
 
 
-class SpinColumn:
+class SpinColumn(Column):
     """Half-width column of length n with chirality '+' or '-'."""
 
-    __slots__ = ("entries", "center", "chirality")
+    __slots__ = ("chirality",)
 
     def __init__(self, entries: Iterable[Letter], center: Spectral, chirality: str):
-        self.entries = tuple(entries)
-        self.center = center
+        super().__init__(entries, center)
         if chirality not in ("+", "-"):
             raise OutOfRangeError("chirality must be '+' or '-'")
         self.chirality = chirality
 
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    def entry(self, p: int) -> Optional[Letter]:
-        if 1 <= p <= len(self.entries):
-            return self.entries[p - 1]
-        return None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpinColumn):
-            return NotImplemented
-        return (self.entries, self.center, self.chirality) == (
-            other.entries,
-            other.center,
-            other.chirality,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.center, self.chirality))
+    def _key(self) -> tuple:
+        return super()._key() + (self.chirality,)
 
     def __repr__(self) -> str:
         body = ",".join(map(str, self.entries))
         return f"sp{self.chirality}[{body}]_{self.center}"
 
 
-Column = Union[DColumn, SpinColumn]
 DTableau = Tuple[Column, ...]
 
 
+@lru_cache(maxsize=256)
 def box_monomial(n: int, x: Letter, a: Spectral) -> Monomial:
-    """Full-size box for the vector alphabet."""
+    """Full-size box for the vector alphabet (cached like tableaux_a's)."""
     if not (1 <= x.value <= n):
         raise OutOfRangeError(f"letter {x} outside rank {n}")
     i = x.value
@@ -195,8 +139,9 @@ def box_monomial(n: int, x: Letter, a: Spectral) -> Monomial:
     return Monomial(e)
 
 
+@lru_cache(maxsize=256)
 def half_box_monomial(n: int, x: Letter, a: Spectral) -> Monomial:
-    """Half-size box for spin columns."""
+    """Half-size box for spin columns (cached like tableaux_a's)."""
     if not (1 <= x.value <= n):
         raise OutOfRangeError(f"letter {x} outside rank {n}")
     i = x.value
@@ -219,9 +164,8 @@ def half_box_monomial(n: int, x: Letter, a: Spectral) -> Monomial:
 def column_monomial(n: int, col: Column) -> Monomial:
     box = half_box_monomial if isinstance(col, SpinColumn) else box_monomial
     out = Monomial.one()
-    N = col.length
-    for p, x in enumerate(col.entries, start=1):
-        out = out * box(n, x, col.center.shift(N + 1 - 2 * p))
+    for b, x in col.rows():
+        out = out * box(n, x, b)
     return out
 
 
@@ -269,18 +213,23 @@ def l_degree(n: int, col: Column) -> int:
     return count
 
 
-def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Character:
-    """Vector fundamental: sum of t^(2 l(T)) m_T over admissible columns."""
-    if d.kind != "D":
-        raise OutOfRangeError("type D tableaux need a type D diagram")
+def _column_sum(d: DynkinDiagram, cols: Iterable[Column]) -> Character:
+    """Sum of t^(2 l(T)) m_T over the given columns."""
     n = d.rank
     terms: Dict[Monomial, IntLaurent] = {}
-    for col in enumerate_fundamental_columns(n, N, a):
+    for col in cols:
         m = column_monomial(n, col)
         add = IntLaurent.term(1, 2 * l_degree(n, col))
         prev = terms.get(m)
         terms[m] = add if prev is None else prev + add
     return Character(d, terms)
+
+
+def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Character:
+    """Vector fundamental: sum of t^(2 l(T)) m_T over admissible columns."""
+    if d.kind != "D":
+        raise OutOfRangeError("type D tableaux need a type D diagram")
+    return _column_sum(d, enumerate_fundamental_columns(d.rank, N, a))
 
 
 def enumerate_spin(n: int, a: Spectral, chirality: str) -> List[SpinColumn]:
@@ -310,12 +259,7 @@ def spin_char(d: DynkinDiagram, a: Spectral, chirality: str) -> Character:
     """Spin fundamental: plain sum of the spin column monomials."""
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
-    n = d.rank
-    terms: Dict[Monomial, IntLaurent] = {}
-    for col in enumerate_spin(n, a, chirality):
-        m = column_monomial(n, col)
-        terms[m] = terms.get(m, IntLaurent.zero()) + ONE
-    return Character(d, terms)
+    return _column_sum(d, enumerate_spin(d.rank, a, chirality))
 
 
 def spin_flip(n: int, col: SpinColumn, p: int) -> Optional[SpinColumn]:
@@ -347,6 +291,13 @@ def _ind(flag: bool) -> int:
     return 1 if flag else 0
 
 
+def _row(total: int, s: int) -> Optional[int]:
+    """The row p with total - 2p = s; None when the parity differs."""
+    if (total - s) % 2:
+        return None
+    return (total - s) // 2
+
+
 def closed_u(n: int, col: DColumn, i: int, s: int) -> int:
     """Closed exponent of Y(i, aq^s) for a vector column.
 
@@ -355,31 +306,21 @@ def closed_u(n: int, col: DColumn, i: int, s: int) -> int:
     contribute nothing.
     """
     N = col.length
-
-    def at(p: Optional[int]) -> Optional[Letter]:
-        return None if p is None else col.entry(p)
-
-    def solve(total: int) -> Optional[int]:
-        if (total - s) % 2:
-            return None
-        return (total - s) // 2
-
     if i == n:
-        p = solve(N + n - 1)
-        pp = solve(N + n + 1)
+        x, y = col.entry(_row(N + n - 1, s)), col.entry(_row(N + n + 1, s))
         return (
-            _ind(at(p) == Letter(n - 1))
-            + _ind(at(p) == Letter(n))
-            - _ind(at(pp) == bar(n))
-            - _ind(at(pp) == bar(n - 1))
+            _ind(x == Letter(n - 1))
+            + _ind(x == Letter(n))
+            - _ind(y == bar(n))
+            - _ind(y == bar(n - 1))
         )
-    p = solve(N + i)
-    pp = solve(N - 2 + 2 * n - i)
+    p = _row(N + i, s)
+    pp = _row(N - 2 + 2 * n - i, s)
     out = 0
     if p is not None:
-        out += _ind(at(p) == Letter(i)) - _ind(at(p + 1) == Letter(i + 1))
+        out += _ind(col.entry(p) == Letter(i)) - _ind(col.entry(p + 1) == Letter(i + 1))
     if pp is not None:
-        out += _ind(at(pp) == bar(i + 1)) - _ind(at(pp + 1) == bar(i))
+        out += _ind(col.entry(pp) == bar(i + 1)) - _ind(col.entry(pp + 1) == bar(i))
     return out
 
 
@@ -387,33 +328,16 @@ def closed_v(n: int, col: DColumn, i: int, s: int) -> int:
     """Closed drop multiplicity v at (i, aq^(s+1)) for a vector column
     against its dominant head Y(N, a)."""
     N = col.length
-
-    def at(p: Optional[int]) -> Optional[Letter]:
-        return None if p is None else col.entry(p)
-
-    def solve(total: int) -> Optional[int]:
-        if (total - s) % 2:
-            return None
-        return (total - s) // 2
-
     if i <= n - 2:
-        p = solve(N + i)
-        pp = solve(N - 2 + 2 * n - i)
-        out = 0
-        x = at(p)
-        if p is not None and x is not None and p <= i and prec(n, Letter(i), x):
-            out += 1
-        y = at(pp)
-        if y is not None and preceq(n, bar(i), y):
-            out += 1
-        return out
-    if i == n - 1:
-        p = solve(N + n - 1)
-        x = at(p)
-        return _ind(x is not None and preceq(n, Letter(n), x))
-    p = solve(N + n - 1)
-    x = at(p)
-    return _ind(x is not None and preceq(n, bar(n), x))
+        p = _row(N + i, s)
+        x = col.entry(p)
+        y = col.entry(_row(N - 2 + 2 * n - i, s))
+        return (
+            _ind(x is not None and p <= i and prec(n, Letter(i), x))
+            + _ind(y is not None and preceq(n, bar(i), y))
+        )
+    x = col.entry(_row(N + n - 1, s))
+    return _ind(x is not None and preceq(n, Letter(n, i != n - 1), x))
 
 
 def closed_u_spin(n: int, col: SpinColumn, i: int, s: int) -> int:
@@ -423,25 +347,16 @@ def closed_u_spin(n: int, col: SpinColumn, i: int, s: int) -> int:
     s = 2n - 2p with the negative contribution one row lower, coming from
     the barred(n-1) half box which carries both variables.
     """
-
-    def at(p: Optional[int]) -> Optional[Letter]:
-        return None if p is None else col.entry(p)
-
-    def solve(total: int) -> Optional[int]:
-        if (total - s) % 2:
-            return None
-        return (total - s) // 2
-
     if i <= n - 2:
-        p = solve(n - 1 + i)
+        p = _row(n - 1 + i, s)
         if p is None:
             return 0
-        return _ind(at(p) == Letter(i)) - _ind(at(p + 1) == Letter(i + 1))
-    p = solve(2 * n)
+        return _ind(col.entry(p) == Letter(i)) - _ind(col.entry(p + 1) == Letter(i + 1))
+    p = _row(2 * n, s)
     if p is None:
         return 0
     head = Letter(n, True) if i == n - 1 else Letter(n)
-    return _ind(at(p) == head) - _ind(at(p + 1) == bar(n - 1))
+    return _ind(col.entry(p) == head) - _ind(col.entry(p + 1) == bar(n - 1))
 
 
 def spin_drop_family(n: int, col: SpinColumn) -> Dict[Tuple[int, Spectral], int]:
@@ -506,11 +421,13 @@ def _column_pool(d: DynkinDiagram, f: FundamentalSpec):
     else:
         raise OutOfRangeError(f"node {f.node} outside rank {n}")
     top = f.top
-    out = []
-    for col in cols:
-        m = column_monomial(n, col)
-        out.append((col, m, l_degree(n, col), top, v_profile(d, m, top)))
-    return out
+    return [_pool_row(d, col, top) for col in cols]
+
+
+def _pool_row(d: DynkinDiagram, col: Column, top: Monomial) -> tuple:
+    """One _column_pool row; its drop profile is None when top does not head col."""
+    m = column_monomial(d.rank, col)
+    return (col, m, l_degree(d.rank, col), top, v_profile(d, m, top))
 
 
 def _pair_twist(a: tuple, b: tuple) -> int:
@@ -534,17 +451,13 @@ def d_tableau(d: DynkinDiagram, t: DTableau, p: DrinfeldData) -> int:
 
     The columns must realize the ordered factors of p in order.
     """
-    n = d.rank
     shape = order_factors(FundamentalSpec(node, a) for node, a in p.roots)
     if len(shape) != len(t):
         raise QtcharError("tableau width differs from the factor count")
-    rows = []
-    for f, col in zip(shape, t):
-        m = column_monomial(n, col)
-        vp = v_profile(d, m, f.top)
+    rows = [_pool_row(d, col, f.top) for f, col in zip(shape, t)]
+    for f, (col, *_, vp) in zip(shape, rows):
         if vp is None:
             raise QtcharError(f"column {col} does not realize factor {f}")
-        rows.append((col, m, l_degree(n, col), f.top, vp))
     return sum(_pair_twist(rows[a], rows[b]) for b in range(len(rows)) for a in range(b))
 
 
@@ -587,20 +500,6 @@ def restricted_character(n: int, N: int) -> Dict[Tuple[Tuple[int, int], ...], in
 # Equality of tableau monomials via pair padding
 
 
-def _row_counts(t: Iterable[DColumn]) -> Dict[Tuple[Spectral, Letter], int]:
-    counts: Dict[Tuple[Spectral, Letter], int] = {}
-    for col in t:
-        N = col.length
-        for pnum, x in enumerate(col.entries, start=1):
-            key = (col.center.shift(N + 1 - 2 * pnum), x)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def is_equivalent(ta: Iterable[DColumn], tb: Iterable[DColumn]) -> bool:
-    return _row_counts(ta) == _row_counts(tb)
-
-
 def pad_pairs_equivalence(
     n: int, ta: Tuple[DColumn, ...], tb: Tuple[DColumn, ...]
 ) -> Optional[Tuple[Tuple[DColumn, ...], Tuple[DColumn, ...]]]:
@@ -640,13 +539,10 @@ def pad_pairs_equivalence(
                 pads_b.extend([up, down] * defect)
             else:
                 pads_a.extend([up, down] * (-defect))
-            for col in (up, down):
-                N = col.length
-                for pnum, x in enumerate(col.entries, start=1):
-                    key = (col.center.shift(N + 1 - 2 * pnum), x)
-                    diff[key] = diff.get(key, 0) - defect
-                    if not diff[key]:
-                        del diff[key]
+            for key in up.rows() + down.rows():
+                diff[key] = diff.get(key, 0) - defect
+                if not diff[key]:
+                    del diff[key]
     if diff:
         return None
     ta2 = tuple(ta) + tuple(pads_a)
@@ -661,11 +557,7 @@ def render_text(t: DTableau) -> str:
     rows: Dict[Tuple[str, int], str] = {}
     placed = []
     for col in t:
-        N = col.length
-        cells = {}
-        for pnum, x in enumerate(col.entries, start=1):
-            b = col.center.shift(N + 1 - 2 * pnum)
-            cells[(b.base, b.qexp)] = str(x)
+        cells = {(b.base, b.qexp): str(x) for b, x in col.rows()}
         placed.append((cells, isinstance(col, SpinColumn)))
     keys = sorted({k for cells, _ in placed for k in cells}, key=lambda k: (k[0], -k[1]))
     lines = []

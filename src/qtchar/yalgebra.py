@@ -305,7 +305,7 @@ class Character:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Character):
             return NotImplemented
-        return self._t == other._t
+        return self.diagram == other.diagram and self._t == other._t
 
     def _same_diagram(self, other: "Character") -> None:
         if other.diagram != self.diagram:

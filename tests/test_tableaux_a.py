@@ -220,6 +220,13 @@ def test_pad_to_equivalent():
 
     assert pad_to_equivalent(2, (AColumn([1], q(0)),), (AColumn([2], q(0)),)) is None
 
+    # pads come out in (base, qexp) order of their anchors, whatever the hash seed
+    a0, a4 = full_column(2, q(0)), full_column(2, q(4))
+    b0, c0 = full_column(2, q(0, "b")), full_column(2, q(0, "c"))
+    ta = (c0, a4, b0, a0)
+    assert pad_to_equivalent(2, ta, ()) == (ta, (a0, a4, b0, c0))
+    assert pad_to_equivalent(2, (), ta) == ((a0, a4, b0, c0), ta)
+
 
 def test_pad_iff_equal_monomial_exhaustive():
     # both directions of the equality criterion on small tableaux

@@ -6,6 +6,7 @@ from qtchar.engine import FundamentalSpec, fundamental_character, standard_chara
 from qtchar.errors import OutOfRangeError
 from qtchar.laurent import ONE, IntLaurent
 from qtchar.rootdata import DynkinDiagram
+from qtchar.tableaux_a import AColumn
 from qtchar.tableaux_d import (
     DColumn,
     Letter,
@@ -27,7 +28,6 @@ from qtchar.tableaux_d import (
     half_box_monomial,
     is_equivalent,
     l_degree,
-    letter,
     pad_pairs_equivalence,
     prec,
     render_text,
@@ -46,49 +46,71 @@ ONE_PLUS_T2 = IntLaurent({0: 1, 2: 1})
 
 def test_letter_order():
     n = 4
-    assert prec(n, letter(1), letter(2))
-    assert prec(n, letter(3), letter(4)) and prec(n, letter(3), bar(4))
-    assert not prec(n, letter(4), bar(4)) and not prec(n, bar(4), letter(4))
+    assert prec(n, Letter(1), Letter(2))
+    assert prec(n, Letter(3), Letter(4)) and prec(n, Letter(3), bar(4))
+    assert not prec(n, Letter(4), bar(4)) and not prec(n, bar(4), Letter(4))
     assert prec(n, bar(4), bar(3))
     assert prec(n, bar(2), bar(1))
     assert len(alphabet(n)) == 2 * n
 
 
+def test_column_identity():
+    entries = [Letter(1), Letter(2), Letter(3), Letter(4)]
+    vec = DColumn(entries, q(0))
+    plus, minus = SpinColumn(entries, q(0), "+"), SpinColumn(entries, q(0), "-")
+    assert vec != plus and plus != vec
+    assert plus != minus
+    assert AColumn([1, 2], q(0)) != DColumn([1, 2], q(0))
+    assert DColumn([1, 2], q(0)) != AColumn([1, 2], q(0))
+    twins = [
+        (DColumn(entries, q(0)), vec),
+        (SpinColumn(entries, q(0), "-"), minus),
+        (AColumn([1, 2], q(0)), AColumn([1, 2], q(0))),
+    ]
+    for x, y in twins:
+        assert x == y and hash(x) == hash(y)
+    assert len({vec, plus, minus, DColumn(entries, q(0))}) == 3
+    # row p of a length-N column centered at a sits at a q^(N+1-2p), top first
+    assert AColumn([1, 3, 4], q(1)).rows() == [(q(3), 1), (q(1), 3), (q(-1), 4)]
+    assert plus.rows() == list(zip([q(3), q(1), q(-1), q(-3)], entries))
+    assert [vec.entry(p) for p in (None, 0, 1, 4, 5)] == [None, None, Letter(1), Letter(4), None]
+
+
 def test_box_monomials():
-    assert box_monomial(4, letter(1), q(0)) == ym((1, 0))
+    assert box_monomial(4, Letter(1), q(0)) == ym((1, 0))
     assert box_monomial(4, bar(4), q(0)) == ym((3, 2), (4, 4, -1))
     assert box_monomial(4, bar(1), q(0)) == ym((1, 6, -1))
-    assert box_monomial(4, letter(3), q(0)) == ym((2, 3, -1), (3, 2), (4, 2))
-    assert box_monomial(4, letter(4), q(0)) == ym((3, 4, -1), (4, 2))
+    assert box_monomial(4, Letter(3), q(0)) == ym((2, 3, -1), (3, 2), (4, 2))
+    assert box_monomial(4, Letter(4), q(0)) == ym((3, 4, -1), (4, 2))
     assert box_monomial(4, bar(3), q(0)) == ym((2, 3), (3, 4, -1), (4, 4, -1))
     with pytest.raises(OutOfRangeError):
-        box_monomial(4, letter(5), q(0))
+        box_monomial(4, Letter(5), q(0))
 
 
 def test_vector_chain_monomials_telescope():
     # the full chain from the head to the tail variable
     n = 4
-    head = column_monomial(n, DColumn([letter(1)], q(0)))
+    head = column_monomial(n, DColumn([Letter(1)], q(0)))
     tail = column_monomial(n, DColumn([bar(1)], q(0)))
     assert head == ym((1, 0))
     assert tail == ym((1, 6, -1))
 
 
 def test_column_monomials_match_figure():
-    c22 = DColumn([letter(2), bar(2)], q(-1))
-    c33 = DColumn([letter(3), bar(3)], q(-1))
+    c22 = DColumn([Letter(2), bar(2)], q(-1))
+    c33 = DColumn([Letter(3), bar(3)], q(-1))
     target = ym((2, 1), (2, 3, -1))
     assert column_monomial(4, c22) == target
     assert column_monomial(4, c33) == target
-    assert column_monomial(4, DColumn([letter(1), letter(2)], q(0))) == ym((2, 0))
+    assert column_monomial(4, DColumn([Letter(1), Letter(2)], q(0))) == ym((2, 0))
 
 
 def test_l_degree():
-    assert l_degree(4, DColumn([letter(2), bar(2)], q(-1))) == 1
-    assert l_degree(4, DColumn([letter(3), bar(3)], q(-1))) == 0
-    assert l_degree(4, DColumn([letter(1), letter(2)], q(0))) == 0
-    assert l_degree(5, DColumn([letter(2), letter(3), bar(2)], q(0))) == 1
-    assert l_degree(4, SpinColumn([letter(1), letter(2), letter(3), letter(4)], q(0), "+")) == 0
+    assert l_degree(4, DColumn([Letter(2), bar(2)], q(-1))) == 1
+    assert l_degree(4, DColumn([Letter(3), bar(3)], q(-1))) == 0
+    assert l_degree(4, DColumn([Letter(1), Letter(2)], q(0))) == 0
+    assert l_degree(5, DColumn([Letter(2), Letter(3), bar(2)], q(0))) == 1
+    assert l_degree(4, SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0), "+")) == 0
 
 
 def test_enumerations():
@@ -99,15 +121,15 @@ def test_enumerations():
         enumerate_fundamental_columns(4, 3, q(0))
     # alternation of the incomparable pair is allowed
     entries = {c.entries for c in enumerate_fundamental_columns(5, 3, q(0))}
-    assert (letter(5), bar(5), letter(5)) in entries
+    assert (Letter(5), bar(5), Letter(5)) in entries
 
 
 def test_spin_enumeration():
     plus = enumerate_spin(4, q(0), "+")
     minus = enumerate_spin(4, q(0), "-")
     assert len(plus) == 8 and len(minus) == 8
-    assert SpinColumn([letter(1), letter(2), letter(3), letter(4)], q(0), "+") in plus
-    assert SpinColumn([letter(1), letter(2), letter(3), bar(4)], q(0), "-") in minus
+    assert SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0), "+") in plus
+    assert SpinColumn([Letter(1), Letter(2), Letter(3), bar(4)], q(0), "-") in minus
     for col in plus + minus:
         classes = sorted(x.value for x in col.entries)
         assert classes == [1, 2, 3, 4]  # one letter per pair
@@ -115,10 +137,10 @@ def test_spin_enumeration():
 
 def test_spin_highest_monomials():
     assert column_monomial(
-        4, SpinColumn([letter(1), letter(2), letter(3), letter(4)], q(0), "+")
+        4, SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0), "+")
     ) == ym((4, 0))
     assert column_monomial(
-        4, SpinColumn([letter(1), letter(2), letter(3), bar(4)], q(0), "-")
+        4, SpinColumn([Letter(1), Letter(2), Letter(3), bar(4)], q(0), "-")
     ) == ym((3, 0))
     assert half_box_monomial(4, bar(1), q(0)).is_unit()
 
@@ -181,20 +203,20 @@ def test_spin_differential(n):
 
 
 def test_spin_flip_edges():
-    col = SpinColumn([letter(1), letter(2), bar(4), bar(3)], q(0), "+")
+    col = SpinColumn([Letter(1), Letter(2), bar(4), bar(3)], q(0), "+")
     flipped = spin_flip(4, col, 2)
     assert flipped is not None
-    assert flipped.entries == (letter(1), letter(3), bar(4), bar(2))
+    assert flipped.entries == (Letter(1), Letter(3), bar(4), bar(2))
     # the move is a single root-monomial drop
     d4 = DynkinDiagram.type_d(4)
     prof = v_profile(d4, column_monomial(4, flipped), column_monomial(4, col))
     assert prof is not None and sum(prof.values()) == 1
 
-    fork = SpinColumn([letter(1), letter(2), letter(3), letter(4)], q(0), "+")
+    fork = SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0), "+")
     forked = spin_flip(4, fork, 3)
     assert forked is not None and forked.entries == (
-        letter(1),
-        letter(2),
+        Letter(1),
+        Letter(2),
         bar(4),
         bar(3),
     )
@@ -221,7 +243,7 @@ def test_closed_forms_vector_exhaustive(n):
 
 def test_closed_v_on_highest_column_vanishes():
     for n, N in ((4, 2), (5, 3)):
-        col = DColumn([letter(i) for i in range(1, N + 1)], q(0))
+        col = DColumn([Letter(i) for i in range(1, N + 1)], q(0))
         for i in range(1, n + 1):
             for s in range(-2, 2 * n + 3):
                 assert closed_v(n, col, i, s) == 0
@@ -307,16 +329,16 @@ def test_restricted_branching_d5():
 
 def test_pad_pairs():
     n = 4
-    up = DColumn([letter(1), letter(2)], q(0))
+    up = DColumn([Letter(1), Letter(2)], q(0))
     down = DColumn([bar(2), bar(1)], q(2 - 2 * n))
     assert (column_monomial(n, up) * column_monomial(n, down)).is_unit()
     res = pad_pairs_equivalence(n, (up, down), ())
     assert res is not None and is_equivalent(*res)
 
-    t = (DColumn([letter(2)], q(0)),)
+    t = (DColumn([Letter(2)], q(0)),)
     assert pad_pairs_equivalence(n, t, t) == (t, t)
     assert (
-        pad_pairs_equivalence(n, t, (DColumn([letter(3)], q(0)),)) is None
+        pad_pairs_equivalence(n, t, (DColumn([Letter(3)], q(0)),)) is None
     )
 
 
@@ -345,7 +367,7 @@ def test_right_negative_tail_of_vector_columns():
     from qtchar.yalgebra import is_right_negative
 
     for n, N in ((4, 1), (4, 2), (5, 2)):
-        head = DColumn([letter(i) for i in range(1, N + 1)], q(0))
+        head = DColumn([Letter(i) for i in range(1, N + 1)], q(0))
         for col in enumerate_fundamental_columns(n, N, q(0)):
             m = column_monomial(n, col)
             if col != head:
@@ -353,8 +375,8 @@ def test_right_negative_tail_of_vector_columns():
 
 
 def test_render_and_json():
-    col = DColumn([letter(2), bar(2)], q(-1))
-    sp = SpinColumn([letter(1), letter(2), letter(3), bar(4)], q(0), "-")
+    col = DColumn([Letter(2), bar(2)], q(-1))
+    sp = SpinColumn([Letter(1), Letter(2), Letter(3), bar(4)], q(0), "-")
     text = render_text((col,))
     assert "2" in text and "̄" in text
     data = column_to_json(sp)

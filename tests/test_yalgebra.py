@@ -302,6 +302,7 @@ def test_character_arithmetic_needs_one_diagram(a2, d5):
     chi_a, chi_d = Character.unit(a2), Character.unit(d5)
     assert chi_d + chi_d == Character(d5, {Monomial.one(): IntLaurent({0: 2})})
     assert not chi_a - chi_a
+    assert chi_a != chi_d
     for combine in (lambda x, y: x + y, lambda x, y: x - y):
         with pytest.raises(QtcharError, match="arithmetic across"):
             combine(chi_d, chi_a)
