@@ -1,3 +1,7 @@
+from types import SimpleNamespace
+
+import pytest
+
 from qtchar.engine import (
     FundamentalSpec,
     check_zcondition,
@@ -8,6 +12,7 @@ from qtchar.engine import (
     standard_character,
     twisted_product,
 )
+from qtchar.errors import InconsistentCharacterError, LDominantEncounteredError
 from qtchar.laurent import ONE, IntLaurent
 from qtchar.rootdata import DynkinDiagram
 from qtchar.yalgebra import (
@@ -63,6 +68,19 @@ def test_fundamental_refuses_underdetermined_cases(d4):
         if m.is_l_dominant() and m != ym((1, 0), (1, 2))
     ]
     assert lower_dominant  # the interior dominant monomial exists
+    with pytest.raises(LDominantEncounteredError, match=r"Y\(2,aq\) appeared"):
+        fundamental_character(d4, SimpleNamespace(top=ym((1, 0), (1, 2))))
+
+
+def test_fundamental_closure_refusals(a2, d5):
+    # the closure reads only f.top, so a duck-typed spec feeds it any monomial
+    for top in (ym((1, 0, -1)), ym((1, 0), (2, 1, -1))):
+        with pytest.raises(InconsistentCharacterError):
+            fundamental_character(a2, SimpleNamespace(top=top))
+    f = FundamentalSpec(2, q(0))
+    with pytest.raises(InconsistentCharacterError, match="did not terminate"):
+        fundamental_character(d5, f, max_rounds=14)
+    assert len(fundamental_character(d5, f, max_rounds=15)) == 45
 
 
 def test_zcondition():
