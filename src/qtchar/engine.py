@@ -17,6 +17,7 @@ from .errors import (
     LDominantEncounteredError,
     NoAdmissibleOrderError,
     NotComparableError,
+    QtcharError,
 )
 from .laurent import ONE, IntLaurent
 from .rootdata import DynkinDiagram
@@ -25,9 +26,10 @@ from .yalgebra import (
     DrinfeldData,
     Monomial,
     Spectral,
+    _height,
+    _height_weights,
     _twist_exponent,
     a_monomial,
-    drop_degree,
     e_expansion,
     pairing_d,
     v_profile,
@@ -54,26 +56,43 @@ def fundamental_character(
     coefficients, and LDominantEncounteredError if a dominant monomial other
     than the top appears, since induction then underdetermines the result.
     """
+    if isinstance(max_rounds, bool) or not isinstance(max_rounds, int) or max_rounds < 1:
+        raise QtcharError(f"max_rounds must be a positive integer, got {max_rounds!r}")
     top = f.top
     final: Dict[Monomial, IntLaurent] = {top: ONE}
-    # pending[i] accumulates every emitted rank-one block in direction i
-    pending: List[Dict[Monomial, IntLaurent]] = [dict() for _ in range(d.rank + 1)]
+    # pending[i] accumulates every emitted rank-one block in direction i, as
+    # raw {texp: coeff} maps updated in place
+    pending: List[Dict[Monomial, Dict[int, int]]] = [dict() for _ in range(d.rank + 1)]
     levels: Dict[int, List[Monomial]] = {0: [top]}
+    # buckets[k] holds each monomial emitted k root-monomial drops below the
+    # top; the height is additive, so the drop degree is read on insertion
+    buckets: Dict[int, set] = {}
+    w, scale = _height_weights(d)
+    htop = _height(w, top)
 
     def emit(i: int, head: Monomial, c: IntLaurent) -> None:
         dest = pending[i]
         for m, cc in e_expansion(d, head, i)._t.items():
-            nv = dest.get(m, IntLaurent.zero()) + c * cc
-            if nv:
-                dest[m] = nv
-            else:
-                dest.pop(m, None)
+            acc = dest.get(m)
+            if acc is None:
+                acc = dest[m] = {}
+                buckets.setdefault((htop - _height(w, m)) // scale, set()).add(m)
+            for e1, v1 in c._c.items():
+                for e2, v2 in cc._c.items():
+                    e = e1 + e2
+                    v = acc.get(e, 0) + v1 * v2
+                    if v:
+                        acc[e] = v
+                    else:
+                        del acc[e]
+            if not acc:
+                del dest[m]
 
     def flush_level(deg: int) -> None:
         for m in sorted(levels.get(deg, ()), key=Monomial.sort_key):
             a = final[m]
             for i in d.nodes:
-                r = a - pending[i].get(m, IntLaurent.zero())
+                r = a - IntLaurent(pending[i].get(m))
                 if not r:
                     continue
                 if not m.is_i_dominant(i):
@@ -83,27 +102,15 @@ def fundamental_character(
                 emit(i, m, r)
 
     flush_level(0)
-    deg = 0
-    for _ in range(max_rounds):
-        deg += 1
-        candidates = set()
-        exhausted = True
-        for i in d.nodes:
-            for m in pending[i]:
-                dd = drop_degree(d, m, top)
-                if dd == deg:
-                    candidates.add(m)
-                if dd >= deg:
-                    exhausted = False
-        if exhausted:
+    for deg in range(1, max_rounds + 1):
+        if all(k < deg for k in buckets):
             return Character(d, final)
-        for m in sorted(candidates, key=Monomial.sort_key):
+        # a cancelled entry may linger in a bucket; its predictions are all zero
+        for m in sorted(buckets.pop(deg, ()), key=Monomial.sort_key):
             forcing = [i for i in d.nodes if not m.is_i_dominant(i)]
-            predicted = {
-                i: pending[i].get(m, IntLaurent.zero()) for i in d.nodes
-            }
+            predicted = {i: pending[i].get(m, {}) for i in d.nodes}
             if not forcing:
-                if any(predicted[i] for i in d.nodes):
+                if any(predicted.values()):
                     raise LDominantEncounteredError(
                         f"dominant monomial {m} appeared below the top; "
                         "the inductive method does not apply"
@@ -113,10 +120,10 @@ def fundamental_character(
             if any(predicted[i] != a for i in forcing[1:]):
                 raise InconsistentCharacterError(
                     f"directions disagree at {m}: "
-                    + ", ".join(f"{i}:{predicted[i]}" for i in forcing)
+                    + ", ".join(f"{i}:{IntLaurent(predicted[i])}" for i in forcing)
                 )
             if a:
-                final[m] = a
+                final[m] = IntLaurent(a)
                 levels.setdefault(deg, []).append(m)
         flush_level(deg)
     raise InconsistentCharacterError("closure did not terminate")

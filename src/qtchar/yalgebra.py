@@ -50,8 +50,10 @@ def _var_key(item):
 class Monomial:
     """Product of Y(i, a)^e factors; the empty product is the unit.
 
-    Immutable, hashable, with a canonical variable order (base, qexp, node)
-    used for deterministic iteration and serialization.
+    Immutable and hashable; equality and hashing read the unordered exponent
+    map.  The canonical variable order (base, qexp, node), used for
+    deterministic iteration and serialization, is built on first use and
+    cached.
     """
 
     __slots__ = ("_e", "_key", "_hash")
@@ -59,8 +61,8 @@ class Monomial:
     def __init__(self, exps: Dict[Tuple[int, Spectral], int] | None = None):
         e = {k: v for k, v in (exps or {}).items() if v != 0}
         self._e = e
-        self._key = tuple(sorted(e.items(), key=_var_key))
-        self._hash = hash(self._key)
+        self._key = None
+        self._hash = hash(frozenset(e.items()))
 
     @staticmethod
     def one() -> "Monomial":
@@ -79,6 +81,8 @@ class Monomial:
         return Monomial(e)
 
     def items(self) -> Tuple[Tuple[Tuple[int, Spectral], int], ...]:
+        if self._key is None:
+            self._key = tuple(sorted(self._e.items(), key=_var_key))
         return self._key
 
     def u(self, node: int, a: Spectral) -> int:
@@ -127,21 +131,21 @@ class Monomial:
         return Weight(c)
 
     def sort_key(self):
-        return tuple((a.base, a.qexp, node, v) for (node, a), v in self._key)
+        return tuple((a.base, a.qexp, node, v) for (node, a), v in self.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Monomial):
             return NotImplemented
-        return self._key == other._key
+        return self._hash == other._hash and self._e == other._e
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        if not self._key:
+        if not self._e:
             return "1"
         parts = []
-        for (node, a), v in self._key:
+        for (node, a), v in self.items():
             s = f"Y({node},{a})"
             if v != 1:
                 s += f"^{v}"
@@ -248,9 +252,9 @@ def _height_weights(d: DynkinDiagram) -> Tuple[Tuple[int, ...], int]:
     return weights, scale
 
 
-def _height(d: DynkinDiagram, m: Monomial) -> int:
-    w, _ = _height_weights(d)
-    return sum(v * w[node - 1] for (node, _), v in m.items())
+def _height(w: Tuple[int, ...], m: Monomial) -> int:
+    """sum(u * W) for the height weights w of _height_weights."""
+    return sum(v * w[node - 1] for (node, _), v in m._e.items())
 
 
 def drop_degree(d: DynkinDiagram, m: Monomial, mp: Monomial) -> int:
@@ -259,7 +263,7 @@ def drop_degree(d: DynkinDiagram, m: Monomial, mp: Monomial) -> int:
     Only meaningful when m <= mp; equals sum(v_profile(m, mp)).
     """
     w, scale = _height_weights(d)
-    gap = _height(d, mp) - _height(d, m)
+    gap = _height(w, mp) - _height(w, m)
     q, r = divmod(gap, scale)
     if r:
         raise NotComparableError("monomials differ outside the root lattice")
@@ -402,12 +406,13 @@ def e_decompose(
     order), requires it to be i-dominant, and strips its block.  Raises
     NotDecomposableError when a maximal remaining monomial is not i-dominant.
     """
+    w, _ = _height_weights(d)
     rem = dict(chi._t)
     blocks: List[Tuple[Monomial, IntLaurent]] = []
     while rem:
         if len(blocks) > max_blocks:
             raise NotDecomposableError("block extraction did not terminate")
-        top = max(rem, key=lambda m: (_height(d, m), m.sort_key()))
+        top = max(rem, key=lambda m: (_height(w, m), m.sort_key()))
         if not top.is_i_dominant(i):
             raise NotDecomposableError(f"maximal monomial {top} is not {i}-dominant")
         c = rem[top]

@@ -12,7 +12,11 @@ from qtchar.engine import (
     standard_character,
     twisted_product,
 )
-from qtchar.errors import InconsistentCharacterError, LDominantEncounteredError
+from qtchar.errors import (
+    InconsistentCharacterError,
+    LDominantEncounteredError,
+    QtcharError,
+)
 from qtchar.laurent import ONE, IntLaurent
 from qtchar.rootdata import DynkinDiagram
 from qtchar.yalgebra import (
@@ -81,6 +85,13 @@ def test_fundamental_closure_refusals(a2, d5):
     with pytest.raises(InconsistentCharacterError, match="did not terminate"):
         fundamental_character(d5, f, max_rounds=14)
     assert len(fundamental_character(d5, f, max_rounds=15)) == 45
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "15", None])
+def test_fundamental_validates_max_rounds(a2, bad):
+    with pytest.raises(QtcharError, match="max_rounds") as info:
+        fundamental_character(a2, FundamentalSpec(1, q(0)), max_rounds=bad)
+    assert not isinstance(info.value, InconsistentCharacterError)
 
 
 def test_zcondition():

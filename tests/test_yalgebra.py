@@ -48,6 +48,43 @@ def test_monomial_basics():
     assert Monomial.one().is_unit()
 
 
+@settings(max_examples=60)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(1, 4), st.sampled_from("ab"), st.integers(-3, 3)),
+        st.integers(-2, 2),
+        max_size=6,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_monomial_identity_ignores_insertion_order(exps, rnd):
+    keyed = [((n, Spectral(b, k)), e) for (n, b, k), e in exps.items()]
+    shuffled = list(keyed)
+    rnd.shuffle(shuffled)
+    m = Monomial(dict(keyed))
+    for other in (Monomial(dict(shuffled)), Monomial({k: e for k, e in keyed if e})):
+        assert m == other and hash(m) == hash(other)
+        assert m.items() == other.items()
+        assert m.sort_key() == other.sort_key()
+        assert str(m) == str(other)
+
+
+def test_monomial_canonical_order_and_unit():
+    m = Monomial.from_factors(
+        [(2, Spectral("b", 0), 1), (1, q(3), -1), (3, q(-1), 2), (1, q(-1), 1)]
+    )
+    assert [k for k, _ in m.items()] == [
+        (1, q(-1)),
+        (3, q(-1)),
+        (1, q(3)),
+        (2, Spectral("b", 0)),
+    ]
+    cancelled = m * ym((1, 3)) * m.inv() * ym((1, 3, -1))
+    assert cancelled == Monomial.one() and hash(cancelled) == hash(Monomial.one())
+    assert cancelled.is_unit() and cancelled.items() == ()
+    assert Monomial.y(1, q(0)) != Monomial.y(2, q(0))
+
+
 def test_u_exponent_examples():
     assert ym((1, 0), (2, 1)).u(1, q(0)) == 1
     assert ym((1, 0), (1, 2), (2, 3, -1)).u(2, q(3)) == -1
