@@ -30,6 +30,7 @@ from .yalgebra import (
     Spectral,
     a_monomial,
     character_to_json,
+    pairing_d,
     specialize_t,
     v_profile,
 )
@@ -187,6 +188,15 @@ def cmd_restrict(d, factors, args) -> Tuple[int, str]:
     return 0, "\n".join(lines)
 
 
+def d_columns_via_pairing(d: DynkinDiagram, ca, cb) -> int:
+    """tableaux_a.d_columns through the engine's generic twist pairing."""
+    n = d.rank
+    ma, mb = tableaux_a.column_monomial(n, ca), tableaux_a.column_monomial(n, cb)
+    pa = Monomial.y(ca.length, ca.center) if ca.length <= n else Monomial.one()
+    pb = Monomial.y(cb.length, cb.center) if cb.length <= n else Monomial.one()
+    return pairing_d(d, ma, pa, mb, pb)
+
+
 def cmd_verify(d, factors, args) -> Tuple[int, str]:
     """Differential suites: tableaux vs engine, closed forms vs generic,
     crystal axioms, randomized drop-profile soundness."""
@@ -218,7 +228,7 @@ def cmd_verify(d, factors, args) -> Tuple[int, str]:
             for k in (-1, 0, 1):
                 cols += tableaux_a.enumerate_fundamental_columns(d.rank, N, Spectral("a", k))
         ok = all(
-            tableaux_a.d_columns(x, y) == tableaux_a.d_columns_via_pairing(d, x, y)
+            tableaux_a.d_columns(x, y) == d_columns_via_pairing(d, x, y)
             for x in cols
             for y in cols
         )
@@ -238,16 +248,19 @@ def cmd_verify(d, factors, args) -> Tuple[int, str]:
         )
         report("spin tableaux match the engine", ok)
         ok = True
+        cols = tableaux_d.enumerate_spin(n, q0, "+") + tableaux_d.enumerate_spin(n, q0, "-")
         for N in range(1, n - 1):
-            for col in tableaux_d.enumerate_fundamental_columns(n, N, q0):
-                m = tableaux_d.column_monomial(n, col)
-                vp = v_profile(d, m, Monomial.y(N, q0))
-                for i in d.nodes:
-                    for s in range(-2, 2 * n + 3):
-                        ok &= tableaux_d.closed_u(n, col, i, s) == m.u(i, Spectral("a", s))
-                        ok &= tableaux_d.closed_v(n, col, i, s) == vp.get(
-                            (i, Spectral("a", s + 1)), 0
-                        )
+            cols += tableaux_d.enumerate_fundamental_columns(n, N, q0)
+        for col in cols:
+            m = tableaux_d.column_monomial(n, col)
+            spin = isinstance(col, tableaux_d.SpinColumn)
+            closed_u = tableaux_d.closed_u_spin if spin else tableaux_d.closed_u
+            for i in d.nodes:
+                for s in range(-2, 2 * n + 3):
+                    ok &= closed_u(n, col, i, s) == m.u(i, Spectral("a", s))
+            ok &= tableaux_d.drop_family(n, col) == v_profile(
+                d, m, tableaux_d.column_top(n, col)
+            )
         report("closed exponent and drop formulas match", ok)
 
     m0 = Monomial.y(1, Spectral("a", 0))

@@ -15,7 +15,6 @@ from typing import Dict, Iterable, List, NamedTuple, Tuple
 from .errors import (
     InconsistentCharacterError,
     LDominantEncounteredError,
-    NoAdmissibleOrderError,
     NotComparableError,
     QtcharError,
 )
@@ -28,6 +27,7 @@ from .yalgebra import (
     Spectral,
     _height,
     _height_weights,
+    _shift_down,
     _twist_exponent,
     a_monomial,
     e_expansion,
@@ -139,14 +139,9 @@ def check_zcondition(p1: DrinfeldData, p2: DrinfeldData) -> bool:
 
 
 def order_factors(fs: Iterable[FundamentalSpec]) -> List[FundamentalSpec]:
-    """Stable sort by (base, qexp); every ordered prefix pair is then admissible."""
-    ordered = sorted(fs, key=lambda f: (f.spectral.base, f.spectral.qexp, f.node))
-    for k in range(1, len(ordered)):
-        prefix = DrinfeldData([(f.node, f.spectral) for f in ordered[:k]])
-        nxt = DrinfeldData([(ordered[k].node, ordered[k].spectral)])
-        if not check_zcondition(prefix, nxt):  # pragma: no cover - defensive
-            raise NoAdmissibleOrderError("sorted order failed the spectral-gap check")
-    return ordered
+    """Sort by (base, qexp); no root then lies above a later root on its base,
+    so every ordered prefix pair satisfies check_zcondition."""
+    return sorted(fs, key=lambda f: (f.spectral.base, f.spectral.qexp, f.node))
 
 
 def twisted_product(
@@ -160,12 +155,12 @@ def twisted_product(
         if bad:
             raise NotComparableError(f"{tag} term {bad[0]} is not below {mp}")
     # the half of the twist that depends on m2 alone, once per m2
-    right = [(m2, c2, _twist_exponent({}, m2, mp1, v2s[m2])) for m2, c2 in chi2.items()]
+    right = [(m2, c2, _twist_exponent([], m2, mp1, v2s[m2])) for m2, c2 in chi2.items()]
     terms: Dict[Monomial, IntLaurent] = {}
     for m1, c1 in chi1.items():
-        v1 = v1s[m1]
+        down1 = _shift_down(v1s[m1])  # read against every m2
         for m2, c2, tw2 in right:
-            tw = tw2 + _twist_exponent(v1, m2, mp1, {})
+            tw = tw2 + _twist_exponent(down1, m2, mp1, {})
             key = m1 * m2
             add = (c1 * c2).shifted(2 * tw)
             prev = terms.get(key)

@@ -11,19 +11,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .engine import FundamentalSpec, order_factors
 from .errors import OutOfRangeError
 from .laurent import IntLaurent, ONE
 from .rootdata import DynkinDiagram
-from .yalgebra import (
-    Character,
-    DrinfeldData,
-    Monomial,
-    Spectral,
-    pairing_d,
-)
+from .yalgebra import Character, DrinfeldData, Monomial, Spectral
 
 
 class Column:
@@ -35,6 +29,7 @@ class Column:
     """
 
     __slots__ = ("entries", "center")
+    half_width = False  # render_text draws spin columns' cells half width
 
     def __init__(self, entries: Iterable, center: Spectral):
         self.entries = tuple(entries)
@@ -57,6 +52,11 @@ class Column:
         N = len(self.entries)
         return [(self.center.shift(N + 1 - 2 * p), x) for p, x in enumerate(self.entries, 1)]
 
+    def entry_at(self, k: int):
+        """Entry of the row at center q^k (rows() solved for p); None off it."""
+        twice_p = len(self.entries) + 1 - k
+        return None if twice_p % 2 else self.entry(twice_p // 2)
+
     def _key(self) -> tuple:
         return (type(self), self.entries, self.center)
 
@@ -74,17 +74,11 @@ class AColumn(Column):
 
     __slots__ = ()
 
-    def support(self) -> List[Spectral]:
-        return [b for b, _ in self.rows()]
-
     def value_at(self, b: Spectral) -> int:
         """Entry in the row at spectral parameter b, 0 off the support."""
         if b.base != self.center.base:
             return 0
-        twice_p = self.length + 1 - (b.qexp - self.center.qexp)
-        if twice_p % 2 or not (1 <= twice_p // 2 <= self.length):
-            return 0
-        return self.entries[twice_p // 2 - 1]
+        return self.entry_at(b.qexp - self.center.qexp) or 0
 
     def __repr__(self) -> str:
         body = ",".join(str(e) for e in self.entries)
@@ -188,32 +182,26 @@ def d_columns(ca: AColumn, cb: AColumn) -> int:
     return total
 
 
-def d_columns_via_pairing(d: DynkinDiagram, ca: AColumn, cb: AColumn) -> int:
-    """The same statistic through the generic twist pairing."""
-    n = d.rank
-    ma, mb = column_monomial(n, ca), column_monomial(n, cb)
-    pa = Monomial.y(ca.length, ca.center) if ca.length <= n else Monomial.one()
-    pb = Monomial.y(cb.length, cb.center) if cb.length <= n else Monomial.one()
-    return pairing_d(d, ma, pa, mb, pb)
+PoolRow = Tuple[Column, Monomial, int]
 
 
 def _tableaux_sum(
     d: DynkinDiagram,
     factors: List[FundamentalSpec],
-    pools: List[List[tuple]],
-    twist: Callable[[tuple, tuple], int],
+    pools: List[List[PoolRow]],
+    twist_table: Callable[[Sequence[PoolRow], Sequence[PoolRow]], List[List[int]]],
 ) -> Character:
     """Sum of t^(2 sum l + 2 sum twist) m_T over tableaux with one column per pool.
 
-    pools[k] holds rows that start (column, monomial, l-degree), one per
-    column of the k-th ordered factor; twist(row_alpha, row_beta) is the pair
-    statistic of an ordered column pair.  It is tabulated once per pool pair
+    pools[k] holds one (column, monomial, l-degree) row per column of the
+    k-th ordered factor; twist_table(xs, ys)[j][k] is the pair statistic of
+    the ordered column pair (xs[j], ys[k]).  One table is built per pool pair
     alpha < beta whose factors share a base (across bases every twist is 0),
     so the walk over tableaux only multiplies monomials and looks twists up;
     each prefix's monomial and exponent are shared by all of its extensions.
     """
     tables = [
-        [(a, [[twist(x, y) for y in pools[b]] for x in pools[a]])
+        [(a, twist_table(pools[a], pools[b]))
          for a in range(b) if factors[a].spectral.base == factors[b].spectral.base]
         for b in range(len(pools))
     ]
@@ -244,7 +232,9 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
          for col in enumerate_fundamental_columns(n, f.node, f.spectral)]
         for f in factors
     ]
-    return _tableaux_sum(d, factors, pools, lambda x, y: d_columns(x[0], y[0]))
+    return _tableaux_sum(
+        d, factors, pools, lambda xs, ys: [[d_columns(x[0], y[0]) for y in ys] for x in xs]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +315,18 @@ def ldominant_column_form(n: int, t: Tableau) -> Optional[Tableau]:
     return padded[1]
 
 
-def render_text(t: Tableau) -> str:
-    """Rows aligned by spectral parameter, highest q-power on top."""
-    rows: Dict[Tuple[str, int], List[str]] = {}
-    supports = [col.support() for col in t]
-    all_b = sorted({b for sup in supports for b in sup}, key=lambda b: (b.base, -b.qexp))
-    for b in all_b:
-        cells = []
-        for col in t:
-            v = col.value_at(b)
-            cells.append(f"{v:>2}" if v else "  ")
-        rows[(b.base, b.qexp)] = cells
+def render_text(t: Iterable[Column]) -> str:
+    """Rows aligned by spectral parameter, highest q-power on top; the cells
+    of half-width (spin) columns are marked with '!'."""
+    placed = [({(b.base, b.qexp): str(x) for b, x in col.rows()}, col.half_width) for col in t]
+    keys = sorted({k for cells, _ in placed for k in cells}, key=lambda k: (k[0], -k[1]))
     lines = []
-    for (base, qexp), cells in rows.items():
-        label = str(Spectral(base, qexp))
-        lines.append(" ".join(cells) + f"   {label}")
+    for key in keys:
+        row = []
+        for cells, half in placed:
+            v = cells.get(key, "")
+            row.append(f"{v:>1}!" if half and v else f"{v:>2} ")
+        lines.append("".join(row) + f"  {Spectral(*key)}")
     return "\n".join(lines)
 
 

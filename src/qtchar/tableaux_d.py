@@ -14,20 +14,21 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import FundamentalSpec, order_factors
 from .errors import OutOfRangeError, QtcharError
 from .laurent import IntLaurent
 from .rootdata import DynkinDiagram
-from .tableaux_a import Column, _row_counts, _tableaux_sum, is_equivalent
-from .yalgebra import (
-    Character,
-    DrinfeldData,
-    Monomial,
-    Spectral,
-    v_profile,
+from .tableaux_a import (  # render_text serves both types
+    Column,
+    PoolRow,
+    _row_counts,
+    _tableaux_sum,
+    is_equivalent,
+    render_text,
 )
+from .yalgebra import Character, DrinfeldData, Monomial, Spectral
 
 
 class Letter(NamedTuple):
@@ -84,6 +85,7 @@ class SpinColumn(Column):
     """Half-width column of length n with chirality '+' or '-'."""
 
     __slots__ = ("chirality",)
+    half_width = True
 
     def __init__(self, entries: Iterable[Letter], center: Spectral, chirality: str):
         super().__init__(entries, center)
@@ -213,13 +215,15 @@ def l_degree(n: int, col: Column) -> int:
     return count
 
 
+def _pool(n: int, cols: Iterable[Column]) -> List[PoolRow]:
+    return [(col, column_monomial(n, col), l_degree(n, col)) for col in cols]
+
+
 def _column_sum(d: DynkinDiagram, cols: Iterable[Column]) -> Character:
     """Sum of t^(2 l(T)) m_T over the given columns."""
-    n = d.rank
     terms: Dict[Monomial, IntLaurent] = {}
-    for col in cols:
-        m = column_monomial(n, col)
-        add = IntLaurent.term(1, 2 * l_degree(n, col))
+    for _, m, deg in _pool(d.rank, cols):
+        add = IntLaurent.term(1, 2 * deg)
         prev = terms.get(m)
         terms[m] = add if prev is None else prev + add
     return Character(d, terms)
@@ -284,79 +288,51 @@ def spin_flip(n: int, col: SpinColumn, p: int) -> Optional[SpinColumn]:
 
 
 # ---------------------------------------------------------------------------
-# Closed exponent and drop formulas (cross-checks of the generic machinery)
+# Closed exponent formulas (checked against the monomials) and the drop
+# families that the product twist reads
 
 
 def _ind(flag: bool) -> int:
     return 1 if flag else 0
 
 
-def _row(total: int, s: int) -> Optional[int]:
-    """The row p with total - 2p = s; None when the parity differs."""
-    if (total - s) % 2:
-        return None
-    return (total - s) // 2
-
-
 def closed_u(n: int, col: DColumn, i: int, s: int) -> int:
     """Closed exponent of Y(i, aq^s) for a vector column.
 
-    Row solvers: s = N - 2p + i = N - 2p' - 2 + 2n - i for i < n, and
-    s = N - 2p + n - 1 = N - 2p' + n + 1 for i = n; undefined rows
-    contribute nothing.
+    Row p at a q^k contributes through its letter at k = s - i + 1 and its
+    barred letter at k = s + i + 3 - 2n for i < n, and at k = s - n + 2 for
+    i = n; the next row (k - 2) carries the negative part.
     """
-    N = col.length
     if i == n:
-        x, y = col.entry(_row(N + n - 1, s)), col.entry(_row(N + n + 1, s))
+        x, y = col.entry_at(s - n + 2), col.entry_at(s - n)
         return (
             _ind(x == Letter(n - 1))
             + _ind(x == Letter(n))
             - _ind(y == bar(n))
             - _ind(y == bar(n - 1))
         )
-    p = _row(N + i, s)
-    pp = _row(N - 2 + 2 * n - i, s)
-    out = 0
-    if p is not None:
-        out += _ind(col.entry(p) == Letter(i)) - _ind(col.entry(p + 1) == Letter(i + 1))
-    if pp is not None:
-        out += _ind(col.entry(pp) == bar(i + 1)) - _ind(col.entry(pp + 1) == bar(i))
-    return out
-
-
-def closed_v(n: int, col: DColumn, i: int, s: int) -> int:
-    """Closed drop multiplicity v at (i, aq^(s+1)) for a vector column
-    against its dominant head Y(N, a)."""
-    N = col.length
-    if i <= n - 2:
-        p = _row(N + i, s)
-        x = col.entry(p)
-        y = col.entry(_row(N - 2 + 2 * n - i, s))
-        return (
-            _ind(x is not None and p <= i and prec(n, Letter(i), x))
-            + _ind(y is not None and preceq(n, bar(i), y))
-        )
-    x = col.entry(_row(N + n - 1, s))
-    return _ind(x is not None and preceq(n, Letter(n, i != n - 1), x))
+    k, kk = s - i + 1, s + i + 3 - 2 * n
+    return (
+        _ind(col.entry_at(k) == Letter(i))
+        - _ind(col.entry_at(k - 2) == Letter(i + 1))
+        + _ind(col.entry_at(kk) == bar(i + 1))
+        - _ind(col.entry_at(kk - 2) == bar(i))
+    )
 
 
 def closed_u_spin(n: int, col: SpinColumn, i: int, s: int) -> int:
     """Closed exponent of Y(i, aq^s) for a spin column.
 
-    Unbarred rows follow s = n - 1 + i - 2p; the node n-1 and n lines sit at
-    s = 2n - 2p with the negative contribution one row lower, coming from
-    the barred(n-1) half box which carries both variables.
+    Unbarred rows sit at k = s - i + 2; the node n-1 and n lines read the row
+    at k = s - n + 1, with the negative contribution one row lower, coming
+    from the barred(n-1) half box which carries both variables.
     """
     if i <= n - 2:
-        p = _row(n - 1 + i, s)
-        if p is None:
-            return 0
-        return _ind(col.entry(p) == Letter(i)) - _ind(col.entry(p + 1) == Letter(i + 1))
-    p = _row(2 * n, s)
-    if p is None:
-        return 0
+        k = s - i + 2
+        return _ind(col.entry_at(k) == Letter(i)) - _ind(col.entry_at(k - 2) == Letter(i + 1))
+    k = s - n + 1
     head = Letter(n, True) if i == n - 1 else Letter(n)
-    return _ind(col.entry(p) == head) - _ind(col.entry(p + 1) == bar(n - 1))
+    return _ind(col.entry_at(k) == head) - _ind(col.entry_at(k - 2) == bar(n - 1))
 
 
 def spin_drop_family(n: int, col: SpinColumn) -> Dict[Tuple[int, Spectral], int]:
@@ -400,50 +376,63 @@ def spin_drop_family(n: int, col: SpinColumn) -> Dict[Tuple[int, Spectral], int]
     raise QtcharError("spin unwinding did not terminate")  # pragma: no cover
 
 
-def closed_v_spin(n: int, col: SpinColumn, i: int, s: int) -> int:
-    """Closed drop multiplicity v at (i, aq^s) for a spin column."""
-    return spin_drop_family(n, col).get((i, col.center.shift(s)), 0)
+def drop_family(n: int, col: Column) -> Dict[Tuple[int, Spectral], int]:
+    """Root-monomial multiplicities separating a column from its head.
+
+    Spin columns unwind their flips (spin_drop_family).  A vector column
+    walks its rows once: the letter x at b drops A(i, bq^i) for each
+    p <= i <= n-2 with i < x, A(i, bq^(2n-2-i)) for each i <= n-2 with
+    ibar <= x, and A(n-1, bq^(n-1)), A(n, bq^(n-1)) when n, resp. nbar, <= x.
+    """
+    if isinstance(col, SpinColumn):
+        return spin_drop_family(n, col)
+    family: Dict[Tuple[int, Spectral], int] = {}
+
+    def add(node: int, b: Spectral) -> None:
+        family[(node, b)] = family.get((node, b), 0) + 1
+
+    for p, (b, x) in enumerate(col.rows(), start=1):
+        for i in range(1, n - 1):
+            if p <= i and prec(n, Letter(i), x):
+                add(i, b.shift(i))
+            if preceq(n, bar(i), x):
+                add(i, b.shift(2 * n - 2 - i))
+        for node, head in ((n - 1, Letter(n)), (n, bar(n))):
+            if preceq(n, head, x):
+                add(node, b.shift(n - 1))
+    return family
 
 
 # ---------------------------------------------------------------------------
 # Product modules
 
 
-def _column_pool(d: DynkinDiagram, f: FundamentalSpec):
-    """(column, monomial, l-degree, head, drops below the head) rows for the
-    columns realizing one fundamental factor."""
-    n = d.rank
+def _columns(n: int, f: FundamentalSpec) -> List[Column]:
+    """The columns realizing one fundamental factor."""
     if f.node <= n - 2:
-        cols: List[Column] = list(enumerate_fundamental_columns(n, f.node, f.spectral))
-    elif f.node in (n - 1, n):
-        chir = "+" if f.node == n else "-"
-        cols = list(enumerate_spin(n, f.spectral, chir))
-    else:
-        raise OutOfRangeError(f"node {f.node} outside rank {n}")
-    top = f.top
-    return [_pool_row(d, col, top) for col in cols]
+        return enumerate_fundamental_columns(n, f.node, f.spectral)
+    if f.node in (n - 1, n):
+        return enumerate_spin(n, f.spectral, "+" if f.node == n else "-")
+    raise OutOfRangeError(f"node {f.node} outside rank {n}")
 
 
-def _pool_row(d: DynkinDiagram, col: Column, top: Monomial) -> tuple:
-    """One _column_pool row; its drop profile is None when top does not head col."""
-    m = column_monomial(d.rank, col)
-    return (col, m, l_degree(d.rank, col), top, v_profile(d, m, top))
+def _twist_table(n: int, xs: Sequence[PoolRow], ys: Sequence[PoolRow]) -> List[List[int]]:
+    """Twist exponents of the ordered column pairs of two same-base pools.
 
-
-def _pair_twist(a: tuple, b: tuple) -> int:
-    """Twist exponent of an ordered column pair, given their _column_pool rows.
-
-    Sums a's drops at (i,cq) against u(b's monomial) at (i,c), plus u(a's
-    head) at (i,cq) against b's drops at (i,c).
+    The twist of (x, y) sums x's drops at (i,cq) against u(y's monomial) at
+    (i,c), plus u(x's head) at (i,cq) against y's drops at (i,c); the drops of
+    each row, shifted down by q, and the half that reads y alone are built
+    once per table.
     """
-    _, _, _, top_a, va = a
-    _, mb, _, _, vb = b
-    total = 0
-    for (i, c), v in va.items():
-        total += v * mb.u(i, c.shift(-1))
-    for (i, c), v in vb.items():
-        total += top_a.u(i, c.shift(1)) * v
-    return total
+    top = column_top(n, xs[0][0])
+    down = [
+        [((i, c.shift(-1)), v) for (i, c), v in drop_family(n, x[0]).items()] for x in xs
+    ]
+    right = [
+        sum(top.u(i, c.shift(1)) * v for (i, c), v in drop_family(n, y[0]).items())
+        for y in ys
+    ]
+    return [[r + sum(v * y[1].u(*k) for k, v in dx) for y, r in zip(ys, right)] for dx in down]
 
 
 def d_tableau(d: DynkinDiagram, t: DTableau, p: DrinfeldData) -> int:
@@ -451,22 +440,27 @@ def d_tableau(d: DynkinDiagram, t: DTableau, p: DrinfeldData) -> int:
 
     The columns must realize the ordered factors of p in order.
     """
+    n = d.rank
     shape = order_factors(FundamentalSpec(node, a) for node, a in p.roots)
     if len(shape) != len(t):
         raise QtcharError("tableau width differs from the factor count")
-    rows = [_pool_row(d, col, f.top) for f, col in zip(shape, t)]
-    for f, (col, *_, vp) in zip(shape, rows):
-        if vp is None:
+    for f, col in zip(shape, t):
+        if col not in _columns(n, f):
             raise QtcharError(f"column {col} does not realize factor {f}")
-    return sum(_pair_twist(rows[a], rows[b]) for b in range(len(rows)) for a in range(b))
+    rows = _pool(n, t)
+    return sum(
+        _twist_table(n, [rows[a]], [rows[b]])[0][0] for b in range(len(rows)) for a in range(b)
+    )
 
 
 def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
     """Tableaux sum for a product module: sum of t^(2d(T)+2l(T)) m_T."""
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
+    n = d.rank
     shape = order_factors(FundamentalSpec(node, a) for node, a in p.roots)
-    return _tableaux_sum(d, shape, [_column_pool(d, f) for f in shape], _pair_twist)
+    pools = [_pool(n, _columns(n, f)) for f in shape]
+    return _tableaux_sum(d, shape, pools, lambda xs, ys: _twist_table(n, xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -550,24 +544,6 @@ def pad_pairs_equivalence(
     if not is_equivalent(ta2, tb2):
         return None
     return ta2, tb2
-
-
-def render_text(t: DTableau) -> str:
-    """Rows aligned by spectral parameter; spin columns render half width."""
-    rows: Dict[Tuple[str, int], str] = {}
-    placed = []
-    for col in t:
-        cells = {(b.base, b.qexp): str(x) for b, x in col.rows()}
-        placed.append((cells, isinstance(col, SpinColumn)))
-    keys = sorted({k for cells, _ in placed for k in cells}, key=lambda k: (k[0], -k[1]))
-    lines = []
-    for key in keys:
-        row = []
-        for cells, spin in placed:
-            v = cells.get(key, "")
-            row.append(f"{v:>1}!" if spin and v else f"{v:>2} ")
-        lines.append("".join(row) + f"  {Spectral(*key)}")
-    return "\n".join(lines)
 
 
 def column_to_json(col: Column) -> dict:

@@ -426,15 +426,21 @@ def e_decompose(
     return blocks
 
 
-def _twist_exponent(v1: Profile, m2: Monomial, mp1: Monomial, v2: Profile) -> int:
-    """pairing_d on precomputed drop profiles v1 = v(m1,mp1), v2 = v(m2,mp2).
+def _shift_down(v: Profile) -> List[Tuple[Tuple[int, Spectral], int]]:
+    """((i, aq^-1), v) for each drop v at (i, a)."""
+    return [((i, a.shift(-1)), c) for (i, a), c in v.items()]
+
+
+def _twist_exponent(down1: list, m2: Monomial, mp1: Monomial, v2: Profile) -> int:
+    """pairing_d on precomputed drop profiles: down1 = _shift_down(v(m1,mp1)),
+    v2 = v(m2,mp2).
 
     An empty profile drops its half of the sum, so a caller can compute the
     half that depends on one term only once.
     """
-    total = 0
-    for (i, a), v in v1.items():
-        total += v * m2.u(i, a.shift(-1))
+    total, e2 = 0, m2._e
+    for k, v in down1:
+        total += v * e2.get(k, 0)
     for (i, a), v in v2.items():
         total += mp1.u(i, a.shift(1)) * v
     return total
@@ -454,7 +460,7 @@ def pairing_d(
     v2 = v_profile(d, m2, mp2)
     if v2 is None:
         raise NotComparableError(f"{m2} is not below {mp2}")
-    return _twist_exponent(v1, m2, mp1, v2)
+    return _twist_exponent(_shift_down(v1), m2, mp1, v2)
 
 
 # ---------------------------------------------------------------------------

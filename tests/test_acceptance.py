@@ -8,6 +8,7 @@ import time
 from itertools import combinations_with_replacement
 
 from qtchar.crystal import generate_crystal, layer_from_orientation, verify_crystal_axioms
+from qtchar.cli import d_columns_via_pairing
 from qtchar.engine import (
     FundamentalSpec,
     check_zcondition,
@@ -20,7 +21,6 @@ from qtchar.laurent import ONE, IntLaurent
 from qtchar.rootdata import DynkinDiagram, Weight, weyl_dimension
 from qtchar.tableaux_a import (
     d_columns,
-    d_columns_via_pairing,
     enumerate_fundamental_columns as columns_a,
     fundamental_char_tableaux as fundamental_tableaux_a,
     standard_char_tableaux as standard_tableaux_a,
@@ -28,10 +28,9 @@ from qtchar.tableaux_a import (
 from qtchar.tableaux_d import (
     closed_u,
     closed_u_spin,
-    closed_v,
-    closed_v_spin,
     column_monomial,
     column_top,
+    drop_family,
     enumerate_fundamental_columns as columns_d,
     enumerate_spin,
     fundamental_char_tableaux as fundamental_tableaux_d,
@@ -327,20 +326,18 @@ def test_criterion_10_closed_forms():
         for N in range(1, n - 1):
             for col in columns_d(n, N, q(0)):
                 m = column_monomial(n, col)
-                prof = v_profile(d, m, ym((N, 0)))
+                assert drop_family(n, col) == v_profile(d, m, ym((N, 0)))
                 for i in d.nodes:
                     for s in range(-2, 2 * n + 3):
                         assert closed_u(n, col, i, s) == m.u(i, q(s))
-                        assert closed_v(n, col, i, s) == prof.get((i, q(s + 1)), 0)
                         checked += 1
         for chirality in "+-":
             for col in enumerate_spin(n, q(0), chirality):
                 m = column_monomial(n, col)
-                prof = v_profile(d, m, column_top(n, col))
+                assert drop_family(n, col) == v_profile(d, m, column_top(n, col))
                 for i in d.nodes:
                     for s in range(-2, 2 * n + 3):
                         assert closed_u_spin(n, col, i, s) == m.u(i, q(s))
-                        assert closed_v_spin(n, col, i, s) == prof.get((i, q(s)), 0)
                         checked += 1
     budget.done(
         10, f"closed forms exact on {pairs} column pairs and {checked} exponent slots"

@@ -1,0 +1,30 @@
+"""The tableaux route must not borrow the engine's solver or twist kernel."""
+
+import ast
+from pathlib import Path
+
+import qtchar
+
+ENGINE_KERNELS = {
+    "v_profile",
+    "pairing_d",
+    "_twist_exponent",
+    "twisted_product",
+    "fundamental_character",
+    "standard_character",
+}
+
+
+def test_tableaux_modules_import_no_engine_kernel():
+    sources = sorted(Path(qtchar.__file__).parent.glob("tableaux_*.py"))
+    assert [p.name for p in sources] == ["tableaux_a.py", "tableaux_d.py"]
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            else:
+                continue
+            assert not names & ENGINE_KERNELS, (path.name, node.lineno, names & ENGINE_KERNELS)

@@ -50,7 +50,7 @@ def test_fundamental_t_eval_total():
 
 
 def test_verify_passes():
-    for diagram in ("A:2", "A:3", "D:4"):
+    for diagram in ("A:2", "A:3", "D:4", "D:5"):
         code, text = run(["--diagram", diagram, "verify", "--seed", "5"])
         assert code == 0, text
         assert "verify passed" in text

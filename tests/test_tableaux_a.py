@@ -12,7 +12,6 @@ from qtchar.tableaux_a import (
     box_monomial,
     column_monomial,
     d_columns,
-    d_columns_via_pairing,
     enumerate_fundamental_columns,
     full_column,
     fundamental_char_tableaux,
@@ -26,6 +25,7 @@ from qtchar.tableaux_a import (
     tableau_monomial_by_counts,
     tableau_to_json,
 )
+from qtchar.cli import d_columns_via_pairing
 from qtchar.yalgebra import DrinfeldData, Monomial, Spectral, v_profile
 
 from conftest import q, ym
@@ -51,7 +51,7 @@ def test_column_monomials():
 
 def test_column_lookup_and_support():
     col = AColumn([1, 3], q(0))
-    assert col.support() == [q(1), q(-1)]
+    assert [col.entry_at(k) for k in (2, 1, 0, -1, -2, -3)] == [None, 1, None, 3, None, None]
     assert col.value_at(q(1)) == 1
     assert col.value_at(q(-1)) == 3
     assert col.value_at(q(0)) == 0

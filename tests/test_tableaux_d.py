@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from qtchar import tableaux_d
 from qtchar.engine import FundamentalSpec, fundamental_character, standard_character
-from qtchar.errors import OutOfRangeError
+from qtchar.errors import OutOfRangeError, QtcharError
 from qtchar.laurent import ONE, IntLaurent
 from qtchar.rootdata import DynkinDiagram
 from qtchar.tableaux_a import AColumn
@@ -16,12 +17,11 @@ from qtchar.tableaux_d import (
     box_monomial,
     closed_u,
     closed_u_spin,
-    closed_v,
-    closed_v_spin,
     column_monomial,
     column_to_json,
     column_top,
     d_tableau,
+    drop_family,
     enumerate_fundamental_columns,
     enumerate_spin,
     fundamental_char_tableaux,
@@ -37,7 +37,14 @@ from qtchar.tableaux_d import (
     spin_flip,
     standard_char_tableaux,
 )
-from qtchar.yalgebra import DrinfeldData, Monomial, Spectral, forget_spectral, v_profile
+from qtchar.yalgebra import (
+    Character,
+    DrinfeldData,
+    Monomial,
+    Spectral,
+    forget_spectral,
+    v_profile,
+)
 
 from conftest import q, ym
 
@@ -231,22 +238,16 @@ def test_closed_forms_vector_exhaustive(n):
             m = column_monomial(n, col)
             prof = v_profile(d, m, ym((N, 0)))
             assert prof is not None
+            assert drop_family(n, col) == prof, col
             for i in d.nodes:
                 for s in range(-2, 2 * n + 3):
                     assert closed_u(n, col, i, s) == m.u(i, q(s)), (col, i, s)
-                    assert closed_v(n, col, i, s) == prof.get((i, q(s + 1)), 0), (
-                        col,
-                        i,
-                        s,
-                    )
 
 
 def test_closed_v_on_highest_column_vanishes():
     for n, N in ((4, 2), (5, 3)):
         col = DColumn([Letter(i) for i in range(1, N + 1)], q(0))
-        for i in range(1, n + 1):
-            for s in range(-2, 2 * n + 3):
-                assert closed_v(n, col, i, s) == 0
+        assert drop_family(n, col) == {}
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -258,10 +259,22 @@ def test_closed_forms_spin_exhaustive(n):
             prof = v_profile(d, m, column_top(n, col))
             assert prof is not None
             assert spin_drop_family(n, col) == prof
+            assert drop_family(n, col) == prof
             for i in d.nodes:
                 for s in range(-2, 2 * n + 3):
                     assert closed_u_spin(n, col, i, s) == m.u(i, q(s)), (col, i, s)
-                    assert closed_v_spin(n, col, i, s) == prof.get((i, q(s)), 0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_drop_family_matches_v_profile(n):
+    d = DynkinDiagram.type_d(n)
+    for center in (q(0), q(-3, "b")):
+        cols = enumerate_spin(n, center, "+") + enumerate_spin(n, center, "-")
+        for N in range(1, n - 1):
+            cols += enumerate_fundamental_columns(n, N, center)
+        for col in cols:
+            prof = v_profile(d, column_monomial(n, col), column_top(n, col))
+            assert drop_family(n, col) == prof, col
 
 
 def test_standard_tableaux_products(d4):
@@ -286,6 +299,61 @@ def test_single_factor_reduces_to_fundamental(d4):
     assert standard_char_tableaux(d4, p) == fundamental_char_tableaux(d4, 2, q(0))
     for col in enumerate_fundamental_columns(4, 2, q(0)):
         assert d_tableau(d4, (col,), p) == 0
+
+
+def test_d_tableau_refuses_foreign_columns(d4):
+    p = DrinfeldData([(2, q(0))])
+    admissible = set(enumerate_fundamental_columns(4, 2, q(0)))
+    accepted = set()
+    for x in alphabet(4):
+        for y in alphabet(4):
+            col = DColumn([x, y], q(0))
+            try:
+                assert d_tableau(d4, (col,), p) == 0
+                accepted.add(col)
+            except QtcharError as exc:
+                assert str(exc) == f"column {col} does not realize factor {FundamentalSpec(2, q(0))}"
+    assert accepted == admissible and len(admissible) == 29
+    spin = DrinfeldData([(4, q(0))])
+    foreign = [
+        (p, DColumn([Letter(1)], q(0))),  # wrong length
+        (p, DColumn([Letter(1), Letter(2)], q(2))),  # wrong centre
+        (p, AColumn([1, 2], q(0))),  # wrong kind
+        (spin, enumerate_spin(4, q(0), "-")[0]),  # wrong chirality
+        (spin, enumerate_spin(4, q(2), "+")[0]),
+    ]
+    for pp, col in foreign:
+        with pytest.raises(QtcharError, match="does not realize factor"):
+            d_tableau(d4, (col,), pp)
+
+
+def test_d_tableau_sums_to_the_product(d4):
+    p = DrinfeldData([(1, q(0)), (4, q(1))])
+    terms = {}
+    for x in enumerate_fundamental_columns(4, 1, q(0)):
+        for y in enumerate_spin(4, q(1), "+"):
+            m = column_monomial(4, x) * column_monomial(4, y)
+            texp = 2 * (d_tableau(d4, (x, y), p) + l_degree(4, x))
+            terms[m] = terms.get(m, IntLaurent.zero()) + IntLaurent.term(1, texp)
+    assert standard_char_tableaux(d4, p) == Character(d4, terms)
+
+
+def test_products_build_drop_families_only_for_twists(d4, d5, monkeypatch):
+    calls = []
+    real = tableaux_d.drop_family
+    monkeypatch.setattr(tableaux_d, "drop_family", lambda n, col: calls.append(col) or real(n, col))
+    lonely = [
+        (d4, [(2, q(0))]),
+        (d4, [(4, q(0))]),
+        (d5, [(3, q(1))]),
+        (d4, [(2, q(0)), (1, q(0, "b"))]),
+        (d5, [(1, q(0)), (5, q(0, "b")), (2, q(0, "c"))]),
+    ]
+    for d, roots in lonely:
+        standard_char_tableaux(d, DrinfeldData(roots))
+    assert calls == []
+    standard_char_tableaux(d4, DrinfeldData([(1, q(0)), (1, q(2)), (4, q(0, "b"))]))
+    assert len(calls) == 16  # one family per row of the one same-base table
 
 
 def test_cross_base_product_has_no_twist(d4):
@@ -379,6 +447,15 @@ def test_render_and_json():
     sp = SpinColumn([Letter(1), Letter(2), Letter(3), bar(4)], q(0), "-")
     text = render_text((col,))
     assert "2" in text and "̄" in text
+    # spin cells are half width and marked with '!'
+    assert render_text((col, sp)).splitlines() == [
+        "   1!  aq^3",
+        "   2!  aq",
+        " 2      a",
+        "   3!  aq^-1",
+        "2̄      aq^-2",
+        "   4̄!  aq^-3",
+    ]
     data = column_to_json(sp)
     assert data["spin"] == "-"
     assert data["entries"][3] == {"value": 4, "bar": True}
