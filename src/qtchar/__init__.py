@@ -40,7 +40,6 @@ from .engine import (
 from .crystal import (
     CrystalGraph,
     eps,
-    eps_n,
     fit_coloring,
     generate_crystal,
     kashiwara_e,
@@ -48,7 +47,6 @@ from .crystal import (
     layer_from_orientation,
     p_index,
     phi,
-    phi_n,
     q_index,
     verify_crystal_axioms,
 )

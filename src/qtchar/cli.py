@@ -109,10 +109,6 @@ def render_character(chi: Character, fmt: str, t_eval: Optional[int]) -> str:
     return "\n".join(lines)
 
 
-def _drinfeld(factors: List[FundamentalSpec]) -> DrinfeldData:
-    return DrinfeldData([(f.node, f.spectral) for f in factors])
-
-
 def cmd_fundamental(d, factors, args) -> Tuple[int, str]:
     if len(factors) != 1:
         raise UsageError("fundamental expects exactly one factor")
@@ -123,7 +119,7 @@ def cmd_fundamental(d, factors, args) -> Tuple[int, str]:
 def cmd_standard(d, factors, args) -> Tuple[int, str]:
     if not factors:
         raise UsageError("standard expects at least one factor")
-    chi = standard_character(d, _drinfeld(factors))
+    chi = standard_character(d, DrinfeldData(factors))
     return 0, render_character(chi, args.output, args.t_eval)
 
 
@@ -141,7 +137,7 @@ def cmd_spin(d, factors, args) -> Tuple[int, str]:
 def cmd_graph(d, factors, args) -> Tuple[int, str]:
     if not factors:
         raise UsageError("graph expects at least one factor")
-    chi = standard_character(d, _drinfeld(factors))
+    chi = standard_character(d, DrinfeldData(factors))
     g = gamma_graph(chi)
     if args.output == "dot":
         return 0, g.to_dot()
@@ -160,10 +156,7 @@ def cmd_graph(d, factors, args) -> Tuple[int, str]:
 def cmd_crystal(d, factors, args) -> Tuple[int, str]:
     if not factors:
         raise UsageError("crystal expects at least one factor")
-    m0 = Monomial.one()
-    for f in factors:
-        m0 = m0 * f.top
-    g = generate_crystal(d, m0)
+    g = generate_crystal(d, Monomial.from_factors((f.node, f.spectral, 1) for f in factors))
     problems = verify_crystal_axioms(g)
     if args.output == "dot":
         return (1 if problems else 0), g.to_dot()

@@ -26,16 +26,6 @@ def _node_line(m: Monomial, i: int) -> List[Tuple[int, int]]:
     return sorted((a.qexp, v) for (node, a), v in m.items() if node == i)
 
 
-def eps_n(m: Monomial, i: int, n: int) -> int:
-    """Negated sum of node-i exponents at q-degrees >= n."""
-    return -sum(v for k, v in _node_line(m, i) if k >= n)
-
-
-def phi_n(m: Monomial, i: int, n: int) -> int:
-    """Sum of node-i exponents at q-degrees <= n."""
-    return sum(v for k, v in _node_line(m, i) if k <= n)
-
-
 def _line_stats(m: Monomial, i: int) -> Tuple[int, int, Optional[int], Optional[int]]:
     """(eps, phi, p_index, q_index) from one pass each way along the node line."""
     line = _node_line(m, i)

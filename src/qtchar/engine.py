@@ -10,7 +10,7 @@ every spectral-parameter ratio below q^2.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import (
     InconsistentCharacterError,
@@ -23,6 +23,7 @@ from .rootdata import DynkinDiagram
 from .yalgebra import (
     Character,
     DrinfeldData,
+    FundamentalSpec,
     Monomial,
     Spectral,
     _height,
@@ -34,17 +35,6 @@ from .yalgebra import (
     pairing_d,
     v_profile,
 )
-
-
-class FundamentalSpec(NamedTuple):
-    """One linear Drinfeld factor: top monomial Y(node, spectral)."""
-
-    node: int
-    spectral: Spectral
-
-    @property
-    def top(self) -> Monomial:
-        return Monomial.y(self.node, self.spectral)
 
 
 def fundamental_character(
@@ -139,9 +129,8 @@ def check_zcondition(p1: DrinfeldData, p2: DrinfeldData) -> bool:
 
 
 def order_factors(fs: Iterable[FundamentalSpec]) -> List[FundamentalSpec]:
-    """Sort by (base, qexp); no root then lies above a later root on its base,
-    so every ordered prefix pair satisfies check_zcondition."""
-    return sorted(fs, key=lambda f: (f.spectral.base, f.spectral.qexp, f.node))
+    """The factors in DrinfeldData's admissible order."""
+    return list(DrinfeldData(fs).roots)
 
 
 def twisted_product(
@@ -170,8 +159,7 @@ def twisted_product(
 
 def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
     """Left-fold of twisted products over the admissibly ordered factors."""
-    factors = order_factors(FundamentalSpec(node, a) for node, a in p.roots)
-    if not factors:
+    if not p.roots:
         return Character.unit(d)
     cache: Dict[FundamentalSpec, Character] = {}
 
@@ -180,9 +168,9 @@ def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
             cache[f] = fundamental_character(d, f)
         return cache[f]
 
-    chi = fund(factors[0])
-    mp = factors[0].top
-    for f in factors[1:]:
+    chi = fund(p.roots[0])
+    mp = p.roots[0].top
+    for f in p.roots[1:]:
         chi = twisted_product(chi, mp, fund(f), f.top, d)
         mp = mp * f.top
     return chi

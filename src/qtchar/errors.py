@@ -49,9 +49,5 @@ class LDominantEncounteredError(QtcharError):
     """A lower dominant monomial appeared, so induction underdetermines the result."""
 
 
-class NoAdmissibleOrderError(QtcharError):
-    """No ordering of the factors satisfies the spectral-gap condition."""
-
-
 class OutOfRangeError(QtcharError):
     """An index was outside the valid range for the given rank."""

@@ -37,9 +37,6 @@ class IntLaurent:
     def coeff(self, texp: int) -> int:
         return self._c.get(texp, 0)
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def __bool__(self) -> bool:
         return bool(self._c)
 

@@ -200,7 +200,10 @@ def simple_root(d: DynkinDiagram, i: int) -> Weight:
     return Weight({j: d.cartan_entry(j, i) for j in d.nodes})
 
 
-def positive_roots(d: DynkinDiagram, cap: int = 10000) -> list:
+_ROOT_CAP = 10000
+
+
+def positive_roots(d: DynkinDiagram) -> list:
     """Positive roots as coefficient tuples over the simple roots.
 
     Starts from the simple roots and closes upward: alpha + alpha_i is a root
@@ -229,8 +232,8 @@ def positive_roots(d: DynkinDiagram, cap: int = 10000) -> list:
                     if up not in roots:
                         roots.add(up)
                         nxt.append(up)
-            if len(roots) > cap:
-                raise QtcharError(f"positive-root closure exceeded {cap} roots (rank {n})")
+            if len(roots) > _ROOT_CAP:
+                raise QtcharError(f"positive-root closure exceeded {_ROOT_CAP} roots (rank {n})")
         layer = nxt
     return sorted(roots)
 

@@ -13,11 +13,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .engine import FundamentalSpec, order_factors
 from .errors import OutOfRangeError
-from .laurent import IntLaurent, ONE
+from .laurent import IntLaurent
 from .rootdata import DynkinDiagram
-from .yalgebra import Character, DrinfeldData, Monomial, Spectral
+from .yalgebra import Character, DrinfeldData, FundamentalSpec, Monomial, Spectral
 
 
 class Column:
@@ -118,20 +117,6 @@ def tableau_monomial(n: int, t: Tableau) -> Monomial:
     return out
 
 
-def tableau_monomial_by_counts(n: int, t: Tableau) -> Monomial:
-    """Same monomial from row counts: exponent of Y(i,a) counts letter i at
-    a q^(1-i) minus letter i+1 at a q^(-1-i)."""
-    e: Dict[Tuple[int, Spectral], int] = {}
-    for (b, letter), c in _row_counts(t).items():
-        if letter <= n:
-            key = (letter, b.shift(letter - 1))
-            e[key] = e.get(key, 0) + c
-        if letter >= 2:
-            key = (letter - 1, b.shift(letter))
-            e[key] = e.get(key, 0) - c
-    return Monomial(e)
-
-
 def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[AColumn]:
     """All strictly increasing columns of length N over 1..n+1."""
     if not (1 <= N <= n):
@@ -139,15 +124,29 @@ def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[AColumn]:
     return [AColumn(c, a) for c in combinations(range(1, n + 2), N)]
 
 
+PoolRow = Tuple[Column, Monomial, int]
+
+
+def _pool(n: int, cols: Iterable[AColumn]) -> List[PoolRow]:
+    """One (column, monomial, l-degree) row per column; type A degrees are 0."""
+    return [(col, column_monomial(n, col), 0) for col in cols]
+
+
+def _column_sum(d: DynkinDiagram, rows: Iterable[PoolRow]) -> Character:
+    """Sum of t^(2 l) m over (column, m, l) pool rows."""
+    terms: Dict[Monomial, IntLaurent] = {}
+    for _, m, deg in rows:
+        add = IntLaurent.term(1, 2 * deg)
+        prev = terms.get(m)
+        terms[m] = add if prev is None else prev + add
+    return Character(d, terms)
+
+
 def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Character:
     """Sum of column monomials over the strict columns, all coefficients 1."""
     if d.kind != "A":
         raise OutOfRangeError("type A tableaux need a type A diagram")
-    terms: Dict[Monomial, IntLaurent] = {}
-    for col in enumerate_fundamental_columns(d.rank, N, a):
-        m = column_monomial(d.rank, col)
-        terms[m] = terms.get(m, IntLaurent.zero()) + ONE
-    return Character(d, terms)
+    return _column_sum(d, _pool(d.rank, enumerate_fundamental_columns(d.rank, N, a)))
 
 
 def s_offset(ca: AColumn, cb: AColumn) -> Optional[int]:
@@ -182,12 +181,9 @@ def d_columns(ca: AColumn, cb: AColumn) -> int:
     return total
 
 
-PoolRow = Tuple[Column, Monomial, int]
-
-
 def _tableaux_sum(
     d: DynkinDiagram,
-    factors: List[FundamentalSpec],
+    factors: Sequence[FundamentalSpec],
     pools: List[List[PoolRow]],
     twist_table: Callable[[Sequence[PoolRow], Sequence[PoolRow]], List[List[int]]],
 ) -> Character:
@@ -226,14 +222,9 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
     if d.kind != "A":
         raise OutOfRangeError("type A tableaux need a type A diagram")
     n = d.rank
-    factors = order_factors(FundamentalSpec(node, a) for node, a in p.roots)
-    pools = [
-        [(col, column_monomial(n, col), 0)
-         for col in enumerate_fundamental_columns(n, f.node, f.spectral)]
-        for f in factors
-    ]
+    pools = [_pool(n, enumerate_fundamental_columns(n, f.node, f.spectral)) for f in p.roots]
     return _tableaux_sum(
-        d, factors, pools, lambda xs, ys: [[d_columns(x[0], y[0]) for y in ys] for x in xs]
+        d, p.roots, pools, lambda xs, ys: [[d_columns(x[0], y[0]) for y in ys] for x in xs]
     )
 
 

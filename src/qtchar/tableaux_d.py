@@ -16,19 +16,18 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .engine import FundamentalSpec, order_factors
 from .errors import OutOfRangeError, QtcharError
-from .laurent import IntLaurent
 from .rootdata import DynkinDiagram
 from .tableaux_a import (  # render_text serves both types
     Column,
     PoolRow,
+    _column_sum,
     _row_counts,
     _tableaux_sum,
     is_equivalent,
     render_text,
 )
-from .yalgebra import Character, DrinfeldData, Monomial, Spectral
+from .yalgebra import Character, DrinfeldData, FundamentalSpec, Monomial, Spectral
 
 
 class Letter(NamedTuple):
@@ -219,21 +218,11 @@ def _pool(n: int, cols: Iterable[Column]) -> List[PoolRow]:
     return [(col, column_monomial(n, col), l_degree(n, col)) for col in cols]
 
 
-def _column_sum(d: DynkinDiagram, cols: Iterable[Column]) -> Character:
-    """Sum of t^(2 l(T)) m_T over the given columns."""
-    terms: Dict[Monomial, IntLaurent] = {}
-    for _, m, deg in _pool(d.rank, cols):
-        add = IntLaurent.term(1, 2 * deg)
-        prev = terms.get(m)
-        terms[m] = add if prev is None else prev + add
-    return Character(d, terms)
-
-
 def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Character:
     """Vector fundamental: sum of t^(2 l(T)) m_T over admissible columns."""
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
-    return _column_sum(d, enumerate_fundamental_columns(d.rank, N, a))
+    return _column_sum(d, _pool(d.rank, enumerate_fundamental_columns(d.rank, N, a)))
 
 
 def enumerate_spin(n: int, a: Spectral, chirality: str) -> List[SpinColumn]:
@@ -241,8 +230,6 @@ def enumerate_spin(n: int, a: Spectral, chirality: str) -> List[SpinColumn]:
     with the n-class entry's height parity fixed by the chirality."""
     if n < 4:
         raise OutOfRangeError("spin columns need rank >= 4")
-    if chirality not in ("+", "-"):
-        raise OutOfRangeError("chirality must be '+' or '-'")
     cols = []
     for signs in product((False, True), repeat=n - 1):
         unbarred = [i for i in range(1, n) if not signs[i - 1]]
@@ -263,7 +250,7 @@ def spin_char(d: DynkinDiagram, a: Spectral, chirality: str) -> Character:
     """Spin fundamental: plain sum of the spin column monomials."""
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
-    return _column_sum(d, enumerate_spin(d.rank, a, chirality))
+    return _column_sum(d, _pool(d.rank, enumerate_spin(d.rank, a, chirality)))
 
 
 def spin_flip(n: int, col: SpinColumn, p: int) -> Optional[SpinColumn]:
@@ -441,10 +428,9 @@ def d_tableau(d: DynkinDiagram, t: DTableau, p: DrinfeldData) -> int:
     The columns must realize the ordered factors of p in order.
     """
     n = d.rank
-    shape = order_factors(FundamentalSpec(node, a) for node, a in p.roots)
-    if len(shape) != len(t):
+    if len(p.roots) != len(t):
         raise QtcharError("tableau width differs from the factor count")
-    for f, col in zip(shape, t):
+    for f, col in zip(p.roots, t):
         if col not in _columns(n, f):
             raise QtcharError(f"column {col} does not realize factor {f}")
     rows = _pool(n, t)
@@ -458,9 +444,8 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
     n = d.rank
-    shape = order_factors(FundamentalSpec(node, a) for node, a in p.roots)
-    pools = [_pool(n, _columns(n, f)) for f in shape]
-    return _tableaux_sum(d, shape, pools, lambda xs, ys: _twist_table(n, xs, ys))
+    pools = [_pool(n, _columns(n, f)) for f in p.roots]
+    return _tableaux_sum(d, p.roots, pools, lambda xs, ys: _twist_table(n, xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +458,6 @@ def restricted_character(n: int, N: int) -> Dict[Tuple[Tuple[int, int], ...], in
     Keeps the columns avoiding a barred-n immediately above an n and
     collapses Y(i, a) to y(i) at t = 1.
     """
-    if not (1 <= N <= n - 2):
-        raise OutOfRangeError(f"vector column length {N} outside 1..{n - 2}")
     out: Dict[Tuple[Tuple[int, int], ...], int] = {}
     for col in enumerate_fundamental_columns(n, N, Spectral("a", 0)):
         if any(
@@ -482,10 +465,7 @@ def restricted_character(n: int, N: int) -> Dict[Tuple[Tuple[int, int], ...], in
             for p in range(N - 1)
         ):
             continue
-        e: Dict[int, int] = {}
-        for (node, _), v in column_monomial(n, col).items():
-            e[node] = e.get(node, 0) + v
-        key = tuple(sorted((i, v) for i, v in e.items() if v))
+        key = column_monomial(n, col).weight().items()
         out[key] = out.get(key, 0) + 1
     return out
 

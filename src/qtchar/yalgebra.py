@@ -8,9 +8,7 @@ Characters map monomials to integer Laurent polynomials in t.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -22,7 +20,7 @@ from .errors import (
     QtcharError,
 )
 from .laurent import ONE, IntLaurent, t_binomial
-from .rootdata import DynkinDiagram, Weight
+from .rootdata import DynkinDiagram, Weight, positive_roots
 
 
 class Spectral(NamedTuple):
@@ -225,31 +223,12 @@ def leq(d: DynkinDiagram, m: Monomial, mp: Monomial) -> bool:
 
 @lru_cache(maxsize=None)
 def _height_weights(d: DynkinDiagram) -> Tuple[Tuple[int, ...], int]:
-    """Integer weights W with C @ W = scale * (1,...,1), C the Cartan matrix.
+    """The weights W = 2rho in simple-root coordinates, with C @ W = 2 * (1,...,1).
 
-    Any monomial drop m -> m * A(i,a)^-1 lowers sum(u * W) by exactly scale,
-    giving a cheap strictly monotone height for the monomial order.
+    Any monomial drop m -> m * A(i,a)^-1 lowers sum(u * W) by exactly the
+    scale 2, giving a cheap strictly monotone height for the monomial order.
     """
-    n = d.rank
-    rows = [
-        [Fraction(d.cartan_entry(i, j)) for j in d.nodes] + [Fraction(1)]
-        for i in d.nodes
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pv = rows[col][col]
-        rows[col] = [x / pv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    sol = [rows[i][n] for i in range(n)]
-    scale = 1
-    for f in sol:
-        scale = scale * f.denominator // gcd(scale, f.denominator)
-    weights = tuple(int(f * scale) for f in sol)
-    return weights, scale
+    return tuple(map(sum, zip(*positive_roots(d)))), 2
 
 
 def _height(w: Tuple[int, ...], m: Monomial) -> int:
@@ -356,10 +335,7 @@ def forget_spectral(chi: Character) -> Dict[Tuple[Tuple[int, int], ...], IntLaur
     """Collapse Y(i, a) -> y(i); keys are sorted (node, exponent) tuples."""
     out: Dict[Tuple[Tuple[int, int], ...], IntLaurent] = {}
     for m, c in chi.items():
-        e: Dict[int, int] = {}
-        for (node, _), v in m.items():
-            e[node] = e.get(node, 0) + v
-        key = tuple(sorted((i, v) for i, v in e.items() if v))
+        key = m.weight().items()
         out[key] = out.get(key, IntLaurent.zero()) + c
     return {k: v for k, v in out.items() if v}
 
@@ -377,7 +353,7 @@ def e_expansion(d: DynkinDiagram, m: Monomial, i: int) -> Character:
     """
     if not m.is_i_dominant(i):
         raise NotIDominantError(f"{m} is not {i}-dominant")
-    chi = Character.of_monomial(d, m)
+    block: Dict[Monomial, IntLaurent] = {m: ONE}
     for (node, a), u in m.items():
         if node != i or u <= 0:
             continue
@@ -388,18 +364,19 @@ def e_expansion(d: DynkinDiagram, m: Monomial, i: int) -> Character:
             factor[step] = t_binomial(u, r).shifted(r * (u - r))
             step = step * am
         terms: Dict[Monomial, IntLaurent] = {}
-        for m1, c1 in chi._t.items():
+        for m1, c1 in block.items():
             for m2, c2 in factor.items():
                 key = m1 * m2
                 prev = terms.get(key)
                 terms[key] = c1 * c2 if prev is None else prev + c1 * c2
-        chi = Character(d, terms)
-    return chi
+        block = terms
+    return Character(d, block)
 
 
-def e_decompose(
-    d: DynkinDiagram, chi: Character, i: int, max_blocks: int = 100000
-) -> List[Tuple[Monomial, IntLaurent]]:
+_MAX_BLOCKS = 100000
+
+
+def e_decompose(d: DynkinDiagram, chi: Character, i: int) -> List[Tuple[Monomial, IntLaurent]]:
     """Write chi as a combination of rank-one blocks in direction i.
 
     Repeatedly takes a monomial of maximal height (hence maximal for the
@@ -410,7 +387,7 @@ def e_decompose(
     rem = dict(chi._t)
     blocks: List[Tuple[Monomial, IntLaurent]] = []
     while rem:
-        if len(blocks) > max_blocks:
+        if len(blocks) > _MAX_BLOCKS:
             raise NotDecomposableError("block extraction did not terminate")
         top = max(rem, key=lambda m: (_height(w, m), m.sort_key()))
         if not top.is_i_dominant(i):
@@ -467,13 +444,30 @@ def pairing_d(
 # Dominant monomials as root data of polynomial tuples
 
 
+class FundamentalSpec(NamedTuple):
+    """One linear Drinfeld factor: top monomial Y(node, spectral)."""
+
+    node: int
+    spectral: Spectral
+
+    @property
+    def top(self) -> Monomial:
+        return Monomial.y(self.node, self.spectral)
+
+
 class DrinfeldData:
-    """Multiset of (node, spectral) roots, one per linear factor."""
+    """Multiset of roots, one FundamentalSpec per linear factor.
+
+    The roots keep the one admissible order (base, qexp, node): no root then
+    lies above a later root on its base, so every ordered prefix pair
+    satisfies the spectral-gap condition.
+    """
 
     __slots__ = ("roots",)
 
     def __init__(self, roots: Iterable[Tuple[int, Spectral]] = ()):
-        self.roots = tuple(sorted(roots, key=lambda r: (r[1].base, r[1].qexp, r[0])))
+        fs = (FundamentalSpec(*r) for r in roots)
+        self.roots = tuple(sorted(fs, key=lambda f: (f.spectral.base, f.spectral.qexp, f.node)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DrinfeldData):
@@ -492,12 +486,9 @@ class DrinfeldData:
 
 def monomial_from_rational_tuple(num: DrinfeldData, den: DrinfeldData) -> Monomial:
     """Product of Y(i,a) over numerator roots and Y(i,b)^-1 over denominator roots."""
-    e: Dict[Tuple[int, Spectral], int] = {}
-    for node, a in num.roots:
-        e[(node, a)] = e.get((node, a), 0) + 1
-    for node, b in den.roots:
-        e[(node, b)] = e.get((node, b), 0) - 1
-    return Monomial(e)
+    return Monomial.from_factors(
+        [(node, a, 1) for node, a in num.roots] + [(node, b, -1) for node, b in den.roots]
+    )
 
 
 def drinfeld_from_monomial(m: Monomial) -> DrinfeldData:
@@ -510,16 +501,14 @@ def drinfeld_from_monomial(m: Monomial) -> DrinfeldData:
     return DrinfeldData(roots)
 
 
-def is_right_negative(m: Monomial, base: str | None = None) -> bool:
+def is_right_negative(m: Monomial) -> bool:
     """Whether every variable at the maximal q-exponent has a negative power.
 
     The unit monomial is not right negative by convention.
     """
     if m.is_unit():
         return False
-    b = m.single_base()
-    if base is not None and b != base:
-        raise MixedBaseError(f"monomial is supported on base {b!r}, not {base!r}")
+    m.single_base()
     smax = max(a.qexp for (_, a), _ in m.items())
     return all(v < 0 for (_, a), v in m.items() if a.qexp == smax)
 

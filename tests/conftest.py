@@ -1,6 +1,7 @@
 import pytest
 
 from qtchar import DynkinDiagram, Monomial, Spectral
+from qtchar.crystal import _node_line
 
 
 @pytest.fixture
@@ -32,3 +33,13 @@ def ym(*factors) -> Monomial:
     return Monomial.from_factors(
         (f[0], q(f[1]), f[2] if len(f) > 2 else 1) for f in factors
     )
+
+
+def eps_n(m: Monomial, i: int, n: int) -> int:
+    """Negated sum of node-i exponents at q-degrees >= n."""
+    return -sum(v for k, v in _node_line(m, i) if k >= n)
+
+
+def phi_n(m: Monomial, i: int, n: int) -> int:
+    """Sum of node-i exponents at q-degrees <= n."""
+    return sum(v for k, v in _node_line(m, i) if k <= n)

@@ -1,4 +1,5 @@
-"""The tableaux route must not borrow the engine's solver or twist kernel."""
+"""The tableaux route must not borrow the engine's solver or twist kernel,
+nor import anything from the engine module."""
 
 import ast
 from pathlib import Path
@@ -15,10 +16,14 @@ ENGINE_KERNELS = {
 }
 
 
-def test_tableaux_modules_import_no_engine_kernel():
+def _tableaux_sources():
     sources = sorted(Path(qtchar.__file__).parent.glob("tableaux_*.py"))
     assert [p.name for p in sources] == ["tableaux_a.py", "tableaux_d.py"]
-    for path in sources:
+    return sources
+
+
+def test_tableaux_modules_import_no_engine_kernel():
+    for path in _tableaux_sources():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
@@ -28,3 +33,18 @@ def test_tableaux_modules_import_no_engine_kernel():
             else:
                 continue
             assert not names & ENGINE_KERNELS, (path.name, node.lineno, names & ENGINE_KERNELS)
+
+
+def test_tableaux_modules_import_nothing_from_engine():
+    for path in _tableaux_sources():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                modules = [base] + [f"{base}.{a.name}".lstrip(".") for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            hits = [m for m in modules if m in ("engine", "qtchar.engine")]
+            assert not hits, (path.name, node.lineno, hits)

@@ -2,7 +2,6 @@ import pytest
 
 from qtchar.crystal import (
     eps,
-    eps_n,
     fit_coloring,
     generate_crystal,
     in_parity_set,
@@ -11,7 +10,6 @@ from qtchar.crystal import (
     layer_from_orientation,
     p_index,
     phi,
-    phi_n,
     q_index,
     verify_crystal_axioms,
     CrystalGraph,
@@ -20,7 +18,7 @@ from qtchar.errors import CapExceededError, NotLDominantError, NotInParitySetErr
 from qtchar.rootdata import DynkinDiagram, Weight, weyl_dimension
 from qtchar.yalgebra import Monomial
 
-from conftest import q, ym
+from conftest import eps_n, phi_n, q, ym
 
 
 def test_partial_sums():

@@ -110,6 +110,20 @@ def test_order_factors():
     assert order_factors(fs2) == fs2
     fs3 = [FundamentalSpec(1, Spectral("b", 5)), FundamentalSpec(1, q(0))]
     assert [f.spectral.base for f in order_factors(fs3)] == ["a", "b"]
+    fs4 = [
+        FundamentalSpec(2, q(1)),
+        FundamentalSpec(3, Spectral("b", -1)),
+        FundamentalSpec(1, q(1)),
+        FundamentalSpec(2, q(-2)),
+    ]
+    for fs in (fs, fs2, fs3, fs4):
+        roots = DrinfeldData(fs).roots
+        assert order_factors(fs) == list(roots)
+        assert all(isinstance(f, FundamentalSpec) for f in roots)
+        keys = [(f.spectral.base, f.spectral.qexp, f.node) for f in roots]
+        assert keys == sorted(keys)
+    assert DrinfeldData([(1, q(0))]) == DrinfeldData([FundamentalSpec(1, q(0))])
+    assert DrinfeldData([(1, q(0))]).roots[0].top == ym((1, 0))
 
 
 def test_twisted_square_worked_example(a2):

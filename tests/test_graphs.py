@@ -6,13 +6,13 @@ from typing import Dict
 
 from hypothesis import example, given, settings, strategies as st
 
-from qtchar.crystal import eps, eps_n, p_index, phi, phi_n, q_index
+from qtchar.crystal import eps, p_index, phi, q_index
 from qtchar.engine import GammaGraph, gamma_graph, standard_character
 from qtchar.laurent import ONE, IntLaurent
 from qtchar.rootdata import DynkinDiagram
 from qtchar.yalgebra import Character, DrinfeldData, Monomial, Spectral, a_monomial
 
-from conftest import q
+from conftest import eps_n, phi_n, q
 
 DIAGRAMS = (DynkinDiagram.type_a(2), DynkinDiagram.type_a(3), DynkinDiagram.type_d(4))
 

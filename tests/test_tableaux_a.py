@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from typing import Dict, Tuple
 
 import pytest
 
@@ -21,14 +22,29 @@ from qtchar.tableaux_a import (
     render_text,
     s_offset,
     standard_char_tableaux,
+    Tableau,
+    _row_counts,
     tableau_monomial,
-    tableau_monomial_by_counts,
     tableau_to_json,
 )
 from qtchar.cli import d_columns_via_pairing
 from qtchar.yalgebra import DrinfeldData, Monomial, Spectral, v_profile
 
 from conftest import q, ym
+
+
+def tableau_monomial_by_counts(n: int, t: Tableau) -> Monomial:
+    """Same monomial from row counts: exponent of Y(i,a) counts letter i at
+    a q^(1-i) minus letter i+1 at a q^(-1-i)."""
+    e: Dict[Tuple[int, Spectral], int] = {}
+    for (b, letter), c in _row_counts(t).items():
+        if letter <= n:
+            key = (letter, b.shift(letter - 1))
+            e[key] = e.get(key, 0) + c
+        if letter >= 2:
+            key = (letter - 1, b.shift(letter))
+            e[key] = e.get(key, 0) - c
+    return Monomial(e)
 
 ONE_PLUS_T2 = IntLaurent({0: 1, 2: 1})
 

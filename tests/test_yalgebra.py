@@ -19,6 +19,7 @@ from qtchar.yalgebra import (
     DrinfeldData,
     Monomial,
     Spectral,
+    _height_weights,
     a_monomial,
     character_from_json,
     character_to_json,
@@ -143,6 +144,23 @@ def test_v_profile_soundness_randomized(a3, d4):
             prof = v_profile(d, m, top)
             assert prof == applied
             assert drop_degree(d, m, top) == sum(applied.values())
+
+
+def test_height_weights_solve_the_cartan_system():
+    diagrams = [DynkinDiagram.type_a(n) for n in range(1, 8)]
+    diagrams += [DynkinDiagram.type_d(n) for n in range(4, 9)]
+    diagrams.append(DynkinDiagram.general(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]))
+    for d in diagrams:
+        w, s = _height_weights(d)
+        assert len(w) == d.rank and all(x > 0 for x in w), d
+        for i in d.nodes:
+            assert sum(d.cartan_entry(i, j) * w[j - 1] for j in d.nodes) == s, (d, i)
+
+
+def test_drop_degree_refuses_a_gap_outside_the_root_lattice():
+    a1 = DynkinDiagram.type_a(1)
+    with pytest.raises(NotComparableError):
+        drop_degree(a1, ym((1, 0)), Monomial.one())
 
 
 def test_v_profile_uniqueness_spot_check(a3):
