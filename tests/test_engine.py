@@ -15,6 +15,7 @@ from qtchar.engine import (
 from qtchar.errors import (
     InconsistentCharacterError,
     LDominantEncounteredError,
+    NotComparableError,
     QtcharError,
 )
 from qtchar.laurent import ONE, IntLaurent
@@ -150,6 +151,30 @@ def test_twisted_product_unit(a2):
     unit = Character.unit(a2)
     assert twisted_product(chi, ym((1, 0)), unit, Monomial.one(), a2) == chi
     assert twisted_product(unit, Monomial.one(), chi, ym((1, 0)), a2) == chi
+
+
+def test_twisted_product_refuses_terms_not_below_their_tops(a2):
+    chi = fundamental_character(a2, FundamentalSpec(1, q(0)))
+    top = ym((1, 0))
+    # inserted out of order: the message names the first bad term in
+    # Monomial.sort_key order, not in insertion order
+    bad_first, bad_second = ym((1, 4, -1), (2, 3)), ym((2, 5, -1))
+    stray = Character(a2, {bad_second: ONE, bad_first: ONE, top: ONE})
+    assert bad_first.sort_key() < bad_second.sort_key()
+    with pytest.raises(NotComparableError) as err:
+        twisted_product(stray, top, chi, top, a2)
+    assert str(err.value) == f"left term {bad_first} is not below {top}"
+    with pytest.raises(NotComparableError) as err:
+        twisted_product(chi, top, stray, top, a2)
+    assert str(err.value) == f"right term {bad_first} is not below {top}"
+    # the left certificate is read first
+    with pytest.raises(NotComparableError) as err:
+        twisted_product(stray, top, stray, top, a2)
+    assert str(err.value).startswith("left term ")
+    # a top that is not the character's own top refuses every term
+    with pytest.raises(NotComparableError) as err:
+        twisted_product(chi, top, chi, ym((1, 2)), a2)
+    assert str(err.value) == f"right term {top} is not below {ym((1, 2))}"
 
 
 def test_standard_character_worked_example_one(a2):
