@@ -25,13 +25,14 @@ from .yalgebra import (
     DrinfeldData,
     FundamentalSpec,
     Monomial,
+    Profile,
     Spectral,
+    _block,
     _height,
     _height_weights,
     _shift_down,
     _twist_exponent,
     a_monomial,
-    e_expansion,
     pairing_d,
     v_profile,
 )
@@ -49,10 +50,12 @@ def fundamental_character(
     if isinstance(max_rounds, bool) or not isinstance(max_rounds, int) or max_rounds < 1:
         raise QtcharError(f"max_rounds must be a positive integer, got {max_rounds!r}")
     top = f.top
-    final: Dict[Monomial, IntLaurent] = {top: ONE}
-    # pending[i] accumulates every emitted rank-one block in direction i, as
-    # raw {texp: coeff} maps updated in place
+    # final and pending hold raw {texp: coeff} maps; pending[i] accumulates
+    # every emitted rank-one block in direction i, updated in place
+    final: Dict[Monomial, Dict[int, int]] = {top: {0: 1}}
     pending: List[Dict[Monomial, Dict[int, int]]] = [dict() for _ in range(d.rank + 1)]
+    # tables[i] holds direction i's rank-one factors for this call
+    tables: List[dict] = [dict() for _ in range(d.rank + 1)]
     levels: Dict[int, List[Monomial]] = {0: [top]}
     # buckets[k] holds each monomial emitted k root-monomial drops below the
     # top; the height is additive, so the drop degree is read on insertion
@@ -60,63 +63,77 @@ def fundamental_character(
     w, scale = _height_weights(d)
     htop = _height(w, top)
 
-    def emit(i: int, head: Monomial, c: IntLaurent) -> None:
+    def emit(i: int, head: Monomial, c: Dict[int, int]) -> None:
         dest = pending[i]
-        for m, cc in e_expansion(d, head, i)._t.items():
+        for m, cc in _block(d, head, i, tables[i], c).items():
             acc = dest.get(m)
             if acc is None:
-                acc = dest[m] = {}
+                dest[m] = cc
                 buckets.setdefault((htop - _height(w, m)) // scale, set()).add(m)
-            for e1, v1 in c._c.items():
-                for e2, v2 in cc._c.items():
-                    e = e1 + e2
-                    v = acc.get(e, 0) + v1 * v2
-                    if v:
-                        acc[e] = v
-                    else:
-                        del acc[e]
+                continue
+            for e, v in cc.items():
+                v += acc.get(e, 0)
+                if v:
+                    acc[e] = v
+                else:
+                    del acc[e]
             if not acc:
                 del dest[m]
 
     def flush_level(deg: int) -> None:
         for m in sorted(levels.get(deg, ()), key=Monomial.sort_key):
             a = final[m]
+            low = _negative_nodes(m)
             for i in d.nodes:
-                r = a - IntLaurent(pending[i].get(m))
-                if not r:
+                p = pending[i].get(m)
+                if p is None:
+                    r = a
+                elif p == a:
                     continue
-                if not m.is_i_dominant(i):
+                else:
+                    r = dict(a)
+                    for e, v in p.items():
+                        v = r.get(e, 0) - v
+                        if v:
+                            r[e] = v
+                        else:
+                            del r[e]
+                if i in low:
                     raise InconsistentCharacterError(
-                        f"residual {r} at non-{i}-dominant {m}"
+                        f"residual {IntLaurent(r)} at non-{i}-dominant {m}"
                     )
                 emit(i, m, r)
 
     flush_level(0)
     for deg in range(1, max_rounds + 1):
         if all(k < deg for k in buckets):
-            return Character(d, final)
+            return Character(d, {m: IntLaurent(c) for m, c in final.items()})
         # a cancelled entry may linger in a bucket; its predictions are all zero
         for m in sorted(buckets.pop(deg, ()), key=Monomial.sort_key):
-            forcing = [i for i in d.nodes if not m.is_i_dominant(i)]
-            predicted = {i: pending[i].get(m, {}) for i in d.nodes}
+            forcing = sorted(_negative_nodes(m))
             if not forcing:
-                if any(predicted.values()):
+                if any(m in p for p in pending):
                     raise LDominantEncounteredError(
                         f"dominant monomial {m} appeared below the top; "
                         "the inductive method does not apply"
                     )
                 continue
-            a = predicted[forcing[0]]
-            if any(predicted[i] != a for i in forcing[1:]):
+            a = pending[forcing[0]].get(m)
+            if any(pending[i].get(m) != a for i in forcing[1:]):
                 raise InconsistentCharacterError(
                     f"directions disagree at {m}: "
-                    + ", ".join(f"{i}:{IntLaurent(predicted[i])}" for i in forcing)
+                    + ", ".join(f"{i}:{IntLaurent(pending[i].get(m))}" for i in forcing)
                 )
             if a:
-                final[m] = IntLaurent(a)
+                final[m] = dict(a)
                 levels.setdefault(deg, []).append(m)
         flush_level(deg)
     raise InconsistentCharacterError("closure did not terminate")
+
+
+def _negative_nodes(m: Monomial) -> set:
+    """The nodes i at which m is not i-dominant, read in one pass."""
+    return {node for (node, _), v in m._e.items() if v < 0}
 
 
 def check_zcondition(p1: DrinfeldData, p2: DrinfeldData) -> bool:
@@ -133,47 +150,97 @@ def order_factors(fs: Iterable[FundamentalSpec]) -> List[FundamentalSpec]:
     return list(DrinfeldData(fs).roots)
 
 
+# A fold input term: (monomial, raw {texp: coeff}, drop profile below its top)
+Term = Tuple[Monomial, Dict[int, int], Profile]
+# A folded term: raw coefficient and two down-shifted drop profiles (see
+# _shift_down) whose sum is the term's own
+Folded = Dict[Monomial, Tuple[Dict[int, int], Tuple[Profile, Profile]]]
+
+
+def _certified(d: DynkinDiagram, chi: Character, mp: Monomial, tag: str) -> List[Term]:
+    """chi's terms with their drop profiles below mp.
+
+    Raises NotComparableError naming the first term, in Monomial.sort_key
+    order, that is not below mp.
+    """
+    terms = [(m, c._c, v_profile(d, m, mp)) for m, c in chi._t.items()]
+    bad = [m for m, _, v in terms if v is None]
+    if bad:
+        raise NotComparableError(f"{tag} term {min(bad, key=Monomial.sort_key)} is not below {mp}")
+    return terms
+
+
+def _unit() -> Folded:
+    """The unit character, folded below the unit top."""
+    return {Monomial.one(): ({0: 1}, ({}, {}))}
+
+
+def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
+    """The t^(2d)-twisted product of folded left terms below mp1 and right
+    terms (m2, c2, v2).
+
+    Drop profiles add under multiplication, since the root monomials are
+    independent, so each product term carries the down-shifted drops of its
+    two factors and can be folded again without v_profile.
+    """
+    # the half of the twist that depends on m2 alone, once per m2
+    rows = [(m2, c2, _twist_exponent({}, m2, mp1, v2), _shift_down(v2)) for m2, c2, v2 in right]
+    out: Folded = {}
+    for m1, (c1, (da, db)) in left.items():
+        down1 = dict(da)
+        for k, v in db.items():
+            down1[k] = down1.get(k, 0) + v
+        for m2, c2, tw2, down2 in rows:
+            tw = 2 * (tw2 + _twist_exponent(down1, m2, mp1, {}))
+            key = m1 * m2
+            entry = out.get(key)
+            if entry is None:
+                entry = out[key] = ({}, (down1, down2))
+            acc = entry[0]
+            for e1, v1 in c1.items():
+                for e2, v2 in c2.items():
+                    e = e1 + e2 + tw
+                    acc[e] = acc.get(e, 0) + v1 * v2
+    return out
+
+
+def _character(d: DynkinDiagram, terms: Folded) -> Character:
+    """The folded terms as a Character, emptying terms as it goes so that
+    each raw coefficient is freed once its IntLaurent exists."""
+    out = {}
+    while terms:
+        m, (c, _) = terms.popitem()
+        out[m] = IntLaurent(c)
+    return Character(d, out)
+
+
 def twisted_product(
     chi1: Character, mp1: Monomial, chi2: Character, mp2: Monomial, d: DynkinDiagram
 ) -> Character:
     """Combine two characters with the t^(2d) twist on each pair of terms."""
-    v1s = {m: v_profile(d, m, mp1) for m in chi1.support()}
-    v2s = {m: v_profile(d, m, mp2) for m in chi2.support()}
-    for tag, vs, mp in (("left", v1s, mp1), ("right", v2s, mp2)):
-        bad = [m for m, v in vs.items() if v is None]
-        if bad:
-            raise NotComparableError(f"{tag} term {bad[0]} is not below {mp}")
-    # the half of the twist that depends on m2 alone, once per m2
-    right = [(m2, c2, _twist_exponent([], m2, mp1, v2s[m2])) for m2, c2 in chi2.items()]
-    terms: Dict[Monomial, IntLaurent] = {}
-    for m1, c1 in chi1.items():
-        down1 = _shift_down(v1s[m1])  # read against every m2
-        for m2, c2, tw2 in right:
-            tw = tw2 + _twist_exponent(down1, m2, mp1, {})
-            key = m1 * m2
-            add = (c1 * c2).shifted(2 * tw)
-            prev = terms.get(key)
-            terms[key] = add if prev is None else prev + add
-    return Character(d, terms)
+    left = _certified(d, chi1, mp1, "left")
+    right = _certified(d, chi2, mp2, "right")
+    return _character(d, _fold(_fold(_unit(), left, Monomial.one()), right, mp1))
 
 
 def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
-    """Left-fold of twisted products over the admissibly ordered factors."""
-    if not p.roots:
-        return Character.unit(d)
-    cache: Dict[FundamentalSpec, Character] = {}
+    """Left-fold of twisted products over the admissibly ordered factors,
+    starting from the unit.
 
-    def fund(f: FundamentalSpec) -> Character:
-        if f not in cache:
-            cache[f] = fundamental_character(d, f)
-        return cache[f]
-
-    chi = fund(p.roots[0])
-    mp = p.roots[0].top
-    for f in p.roots[1:]:
-        chi = twisted_product(chi, mp, fund(f), f.top, d)
+    Each distinct fundamental is computed and certified once; the running
+    product carries its terms' drops, so no accumulated term is re-solved.
+    """
+    if len(p.roots) == 1:
+        return fundamental_character(d, p.roots[0])
+    terms: Dict[FundamentalSpec, List[Term]] = {}
+    for f in p.roots:
+        if f not in terms:
+            terms[f] = _certified(d, fundamental_character(d, f), f.top, "right")
+    chi, mp = _unit(), Monomial.one()
+    for f in p.roots:
+        chi = _fold(chi, terms[f], mp)
         mp = mp * f.top
-    return chi
+    return _character(d, chi)
 
 
 def rescaled_tilde(d: DynkinDiagram, chi: Character, mp: Monomial) -> Character:

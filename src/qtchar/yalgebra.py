@@ -344,6 +344,47 @@ def forget_spectral(chi: Character) -> Dict[Tuple[Tuple[int, int], ...], IntLaur
 # Rank-one expansion blocks and their greedy inversion
 
 
+def _rank_one_factor(d: DynkinDiagram, i: int, a: Spectral, u: int) -> List[Tuple[Monomial, Dict[int, int]]]:
+    """The block factor sum_r t^(r(u-r)) [u,r]_t A(i,aq)^-r for u = u(i,a) > 0,
+    as (A(i,aq)^-r, raw {texp: coeff}) pairs for r = 0..u."""
+    am = a_monomial(d, i, a.shift(1)).inv()
+    factor = []
+    step = Monomial.one()
+    for r in range(u + 1):
+        factor.append((step, t_binomial(u, r).shifted(r * (u - r))._c))
+        step = step * am
+    return factor
+
+
+def _block(
+    d: DynkinDiagram, m: Monomial, i: int, table: dict, c: Dict[int, int]
+) -> Dict[Monomial, Dict[int, int]]:
+    """The rank-one block of the i-dominant m in direction i, scaled by the raw
+    coefficient c, as fresh raw {monomial: {texp: coeff}} maps.
+
+    Each factor is read from table, keyed by (spectral, u) for direction i and
+    filled on a miss.  The factors' root monomials are independent, so every
+    product of terms is a distinct monomial and nothing merges.
+    """
+    block = {m: dict(c)}
+    for (node, a), u in m._e.items():
+        if node != i or u <= 0:
+            continue
+        factor = table.get((a, u))
+        if factor is None:
+            factor = table[(a, u)] = _rank_one_factor(d, i, a, u)
+        terms = {}
+        for m1, c1 in block.items():
+            for step, c2 in factor:
+                acc: Dict[int, int] = {}
+                for e1, v1 in c1.items():
+                    for e2, v2 in c2.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
+                terms[m1 * step] = acc
+        block = terms
+    return block
+
+
 def e_expansion(d: DynkinDiagram, m: Monomial, i: int) -> Character:
     """Expand an i-dominant monomial into its rank-one character block.
 
@@ -353,24 +394,7 @@ def e_expansion(d: DynkinDiagram, m: Monomial, i: int) -> Character:
     """
     if not m.is_i_dominant(i):
         raise NotIDominantError(f"{m} is not {i}-dominant")
-    block: Dict[Monomial, IntLaurent] = {m: ONE}
-    for (node, a), u in m.items():
-        if node != i or u <= 0:
-            continue
-        am = a_monomial(d, i, a.shift(1)).inv()
-        factor: Dict[Monomial, IntLaurent] = {}
-        step = Monomial.one()
-        for r in range(u + 1):
-            factor[step] = t_binomial(u, r).shifted(r * (u - r))
-            step = step * am
-        terms: Dict[Monomial, IntLaurent] = {}
-        for m1, c1 in block.items():
-            for m2, c2 in factor.items():
-                key = m1 * m2
-                prev = terms.get(key)
-                terms[key] = c1 * c2 if prev is None else prev + c1 * c2
-        block = terms
-    return Character(d, block)
+    return Character(d, {k: IntLaurent(c) for k, c in _block(d, m, i, {}, ONE._c).items()})
 
 
 _MAX_BLOCKS = 100000
@@ -386,6 +410,7 @@ def e_decompose(d: DynkinDiagram, chi: Character, i: int) -> List[Tuple[Monomial
     w, _ = _height_weights(d)
     rem = dict(chi._t)
     blocks: List[Tuple[Monomial, IntLaurent]] = []
+    table: dict = {}
     while rem:
         if len(blocks) > _MAX_BLOCKS:
             raise NotDecomposableError("block extraction did not terminate")
@@ -394,8 +419,8 @@ def e_decompose(d: DynkinDiagram, chi: Character, i: int) -> List[Tuple[Monomial
             raise NotDecomposableError(f"maximal monomial {top} is not {i}-dominant")
         c = rem[top]
         blocks.append((top, c))
-        for m, cc in e_expansion(d, top, i)._t.items():
-            nv = rem.get(m, IntLaurent.zero()) - c * cc
+        for m, cc in _block(d, top, i, table, c._c).items():
+            nv = rem.get(m, IntLaurent.zero()) - IntLaurent(cc)
             if nv:
                 rem[m] = nv
             else:
@@ -403,21 +428,21 @@ def e_decompose(d: DynkinDiagram, chi: Character, i: int) -> List[Tuple[Monomial
     return blocks
 
 
-def _shift_down(v: Profile) -> List[Tuple[Tuple[int, Spectral], int]]:
-    """((i, aq^-1), v) for each drop v at (i, a)."""
-    return [((i, a.shift(-1)), c) for (i, a), c in v.items()]
+def _shift_down(v: Profile) -> Profile:
+    """The drop v at (i, a) moved to (i, aq^-1), for each drop of v."""
+    return {(i, a.shift(-1)): c for (i, a), c in v.items()}
 
 
-def _twist_exponent(down1: list, m2: Monomial, mp1: Monomial, v2: Profile) -> int:
+def _twist_exponent(down1: Profile, m2: Monomial, mp1: Monomial, v2: Profile) -> int:
     """pairing_d on precomputed drop profiles: down1 = _shift_down(v(m1,mp1)),
     v2 = v(m2,mp2).
 
     An empty profile drops its half of the sum, so a caller can compute the
     half that depends on one term only once.
     """
-    total, e2 = 0, m2._e
-    for k, v in down1:
-        total += v * e2.get(k, 0)
+    total = 0
+    for k, u in m2._e.items():
+        total += down1.get(k, 0) * u
     for (i, a), v in v2.items():
         total += mp1.u(i, a.shift(1)) * v
     return total

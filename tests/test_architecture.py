@@ -10,6 +10,10 @@ ENGINE_KERNELS = {
     "v_profile",
     "pairing_d",
     "_twist_exponent",
+    "_block",
+    "_rank_one_factor",
+    "e_expansion",
+    "_fold",
     "twisted_product",
     "fundamental_character",
     "standard_character",

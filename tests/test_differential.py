@@ -1,0 +1,68 @@
+"""The engine against itself and against the tableaux sums on generated
+factor lists: standard_character, the left fold of twisted_product over the
+admissibly ordered roots, and standard_char_tableaux must agree."""
+
+from math import comb, prod
+
+from hypothesis import given, settings, strategies as st
+
+from qtchar import tableaux_a, tableaux_d
+from qtchar.engine import fundamental_character, standard_character, twisted_product
+from qtchar.rootdata import DynkinDiagram
+from qtchar.yalgebra import DrinfeldData, FundamentalSpec, Spectral, specialize_t
+
+DIAGRAMS = (
+    DynkinDiagram.type_a(2),
+    DynkinDiagram.type_a(3),
+    DynkinDiagram.type_a(4),
+    DynkinDiagram.type_d(4),
+    DynkinDiagram.type_d(5),
+)
+# the most tableaux (the product of the factors' pool sizes) one example sums
+BUDGET = 2000
+
+
+def pool_size(d: DynkinDiagram, node: int) -> int:
+    """Number of columns of the fundamental at node: its dimension."""
+    n = d.rank
+    if d.kind == "A":
+        return comb(n + 1, node)
+    if node >= n - 1:
+        return 2 ** (n - 1)
+    return sum(comb(2 * n, k) for k in range(node, -1, -2))
+
+
+@st.composite
+def factor_lists(draw):
+    d = draw(st.sampled_from(DIAGRAMS))
+    roots = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = prod(pool_size(d, node) for node, _ in roots)
+        nodes = [i for i in d.nodes if size * pool_size(d, i) <= BUDGET]
+        if not nodes:
+            break
+        node = draw(st.sampled_from(nodes))
+        roots.append((node, Spectral(draw(st.sampled_from("ab")), draw(st.integers(-3, 3)))))
+    return d, DrinfeldData(roots)
+
+
+def test_pool_sizes_are_the_fundamental_dimensions():
+    for d in DIAGRAMS:
+        for i in d.nodes:
+            chi = fundamental_character(d, FundamentalSpec(i, Spectral("a", 0)))
+            assert sum(specialize_t(chi, 1).values()) == pool_size(d, i)
+
+
+@settings(max_examples=50, deadline=None)
+@given(factor_lists())
+def test_standard_character_is_the_twisted_fold_and_the_tableaux_sum(case):
+    d, p = case
+    chi = standard_character(d, p)
+    first = p.roots[0]
+    fold, mp = fundamental_character(d, first), first.top
+    for f in p.roots[1:]:
+        fold = twisted_product(fold, mp, fundamental_character(d, f), f.top, d)
+        mp = mp * f.top
+    assert chi == fold
+    tableaux = tableaux_a if d.kind == "A" else tableaux_d
+    assert chi == tableaux.standard_char_tableaux(d, p)

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from qtchar import engine, yalgebra
+from qtchar.cli import parse_factors
 from qtchar.engine import (
     FundamentalSpec,
     check_zcondition,
@@ -175,6 +177,31 @@ def test_twisted_product_refuses_terms_not_below_their_tops(a2):
     with pytest.raises(NotComparableError) as err:
         twisted_product(chi, top, chi, ym((1, 2)), a2)
     assert str(err.value) == f"right term {top} is not below {ym((1, 2))}"
+
+
+def test_engine_builds_each_invariant_once(d5, monkeypatch):
+    factors = []
+    real_factor = yalgebra._rank_one_factor
+    monkeypatch.setattr(
+        yalgebra,
+        "_rank_one_factor",
+        lambda d, i, a, u: factors.append((i, a, u)) or real_factor(d, i, a, u),
+    )
+    fundamental_character(DynkinDiagram.type_d(7), FundamentalSpec(4, q(0)))
+    assert factors and len(factors) == len(set(factors))
+
+    tops = []
+    real_profile = engine.v_profile
+    monkeypatch.setattr(
+        engine, "v_profile", lambda d, m, mp: tops.append(mp) or real_profile(d, m, mp)
+    )
+    fs = parse_factors(d5, "1:a:0,2:a:1,spin+:a:2")
+    standard_character(d5, DrinfeldData(fs))
+    # one certificate per term of each distinct fundamental, none on a product
+    assert sorted(tops, key=Monomial.sort_key) == sorted(
+        (f.top for f in set(fs) for _ in range(len(fundamental_character(d5, f)))),
+        key=Monomial.sort_key,
+    )
 
 
 def test_standard_character_worked_example_one(a2):
