@@ -205,8 +205,7 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
 
 
 def _character(d: DynkinDiagram, terms: Folded) -> Character:
-    """The folded terms as a Character, emptying terms as it goes so that
-    each raw coefficient is freed once its IntLaurent exists."""
+    """The folded terms as a Character; empties terms to free each raw map early."""
     out = {}
     while terms:
         m, (c, _) = terms.popitem()
