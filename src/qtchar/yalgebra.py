@@ -344,7 +344,9 @@ def forget_spectral(chi: Character) -> Dict[Tuple[Tuple[int, int], ...], IntLaur
 # Rank-one expansion blocks and their greedy inversion
 
 
-def _rank_one_factor(d: DynkinDiagram, i: int, a: Spectral, u: int) -> List[Tuple[Monomial, Dict[int, int]]]:
+def _rank_one_factor(
+    d: DynkinDiagram, i: int, a: Spectral, u: int
+) -> List[Tuple[Monomial, Dict[int, int]]]:
     """The block factor sum_r t^(r(u-r)) [u,r]_t A(i,aq)^-r for u = u(i,a) > 0,
     as (A(i,aq)^-r, raw {texp: coeff}) pairs for r = 0..u."""
     am = a_monomial(d, i, a.shift(1)).inv()
@@ -394,7 +396,7 @@ def e_expansion(d: DynkinDiagram, m: Monomial, i: int) -> Character:
     """
     if not m.is_i_dominant(i):
         raise NotIDominantError(f"{m} is not {i}-dominant")
-    return Character(d, {k: IntLaurent(c) for k, c in _block(d, m, i, {}, ONE._c).items()})
+    return Character(d, {k: IntLaurent(c) for k, c in _block(d, m, i, {}, {0: 1}).items()})
 
 
 _MAX_BLOCKS = 100000
