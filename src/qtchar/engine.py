@@ -27,6 +27,7 @@ from .yalgebra import (
     Monomial,
     Profile,
     Spectral,
+    _HASH_MOD,
     _block,
     _height,
     _height_weights,
@@ -60,6 +61,9 @@ def fundamental_character(
     # buckets[k] holds each monomial emitted k root-monomial drops below the
     # top; the height is additive, so the drop degree is read on insertion
     buckets: Dict[int, set] = {}
+    # every monomial ever filed in a bucket: a later entry in another
+    # direction, or after a cancellation, neither re-reads nor re-files it
+    filed = {top}
     w, scale = _height_weights(d)
     htop = _height(w, top)
 
@@ -69,7 +73,9 @@ def fundamental_character(
             acc = dest.get(m)
             if acc is None:
                 dest[m] = cc
-                buckets.setdefault((htop - _height(w, m)) // scale, set()).add(m)
+                if m not in filed:
+                    filed.add(m)
+                    buckets.setdefault((htop - _height(w, m)) // scale, set()).add(m)
                 continue
             for e, v in cc.items():
                 v += acc.get(e, 0)
@@ -287,15 +293,13 @@ def gamma_graph(chi: Character) -> GammaGraph:
     A(i, aq^s)^-1 puts a nonzero exponent at (i, aq^(s-1)) and (i, aq^(s+1)),
     so a shift at or beyond either end of the span leaves the support.
 
-    The support is indexed by the additive fingerprint h(m) = sum of e *
-    hash(node, a); a drop subtracts h(A(i,a)), and only a fingerprint hit
-    forms the product and looks it up, so collisions cannot change an edge.
+    The support is indexed by its monomials' additive hashes: a drop
+    subtracts hash(A(i,a)) modulo _HASH_MOD, and only a hash hit forms the
+    product and looks it up, so collisions cannot change an edge.  An edge
+    holds the support's own monomials, not the fresh product.
     """
     d = chi.diagram
-    support = set(chi._t)
-
-    def h(m: Monomial) -> int:
-        return sum(e * hash(k) for k, e in m.items())
+    support = {m: m for m in chi._t}
 
     qexps: Dict[str, set] = {}
     for m in support:
@@ -307,14 +311,14 @@ def gamma_graph(chi: Character) -> GammaGraph:
             a = Spectral(base, s)
             for i in d.nodes:
                 step = a_monomial(d, i, a)
-                drops.append((h(step), i, a, step.inv()))
-    prints = {h(m) for m in support}
+                drops.append((hash(step), i, a, step.inv()))
+    prints = {hash(m) for m in support}
     edges = []
     for m1 in support:
-        h1 = h(m1)
+        h1 = hash(m1)
         for hs, i, a, down in drops:
-            if h1 - hs in prints:
-                m2 = m1 * down
-                if m2 in support:
+            if (h1 - hs) % _HASH_MOD in prints:
+                m2 = support.get(m1 * down)
+                if m2 is not None:
                     edges.append((m1, m2, i, a))
     return GammaGraph(d, {m: chi.coeff(m) for m in support}, edges)

@@ -10,7 +10,7 @@ t^(2d(T)) m_T with d summed over ordered column pairs.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import OutOfRangeError
@@ -196,22 +196,32 @@ def _tableaux_sum(
     so the walk over tableaux only multiplies monomials and looks twists up;
     each prefix's monomial and exponent are shared by all of its extensions.
     """
+    if not pools:
+        return Character.unit(d)
     tables = [
         [(a, twist_table(pools[a], pools[b]))
          for a in range(b) if factors[a].spectral.base == factors[b].spectral.base]
         for b in range(len(pools))
     ]
     terms: Dict[Monomial, Dict[int, int]] = {}
+    last = len(pools) - 1
 
     def place(b: int, chosen: Tuple[int, ...], mono: Monomial, expo: int) -> None:
-        if b == len(pools):
-            c = terms.setdefault(mono, {})
-            c[2 * expo] = c.get(2 * expo, 0) + 1
-            return
         rows = [table[chosen[a]] for a, table in tables[b]]
-        for k, row in enumerate(pools[b]):
-            twist_k = sum(r[k] for r in rows)
-            place(b + 1, chosen + (k,), mono * row[1], expo + row[2] + twist_k)
+        twists = [sum(c) for c in zip(*rows)] if rows else repeat(0)
+        if b == last:
+            # the leaf level: one monomial merge and one dict update per tableau
+            for (_, m, deg), tw in zip(pools[b], twists):
+                key = mono * m
+                e = 2 * (expo + deg + tw)
+                c = terms.get(key)
+                if c is None:
+                    terms[key] = {e: 1}
+                else:
+                    c[e] = c.get(e, 0) + 1
+            return
+        for k, ((_, m, deg), tw) in enumerate(zip(pools[b], twists)):
+            place(b + 1, chosen + (k,), mono * m, expo + deg + tw)
 
     place(0, (), Monomial.one(), 0)
     return Character(d, {m: IntLaurent(c) for m, c in terms.items()})

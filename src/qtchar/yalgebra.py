@@ -9,6 +9,7 @@ Characters map monomials to integer Laurent polynomials in t.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -45,13 +46,20 @@ def _var_key(item):
     return (a.base, a.qexp, node)
 
 
+# Monomial hashes live in the integers modulo this prime (Python's own int
+# hash modulus on 64-bit builds), so a hash is a valid __hash__ value as is.
+_HASH_MOD = (1 << 61) - 1
+
+
 class Monomial:
     """Product of Y(i, a)^e factors; the empty product is the unit.
 
     Immutable and hashable; equality and hashing read the unordered exponent
-    map.  The canonical variable order (base, qexp, node), used for
-    deterministic iteration and serialization, is built on first use and
-    cached.
+    map.  The hash is additive, sum of e * hash((node, a)) modulo _HASH_MOD,
+    so a product's hash is the sum of its factors' and no product re-hashes;
+    equality still compares the maps, so a collision cannot merge monomials.
+    The canonical variable order (base, qexp, node), used for deterministic
+    iteration and serialization, is built on first use and cached.
     """
 
     __slots__ = ("_e", "_key", "_hash")
@@ -60,7 +68,16 @@ class Monomial:
         e = {k: v for k, v in (exps or {}).items() if v != 0}
         self._e = e
         self._key = None
-        self._hash = hash(frozenset(e.items()))
+        self._hash = sum(map(mul, e.values(), map(hash, e))) % _HASH_MOD
+
+    @staticmethod
+    def _raw(e: Dict[Tuple[int, Spectral], int], h: int) -> "Monomial":
+        """A monomial on the zero-free map e with the known hash h, unchecked."""
+        m = object.__new__(Monomial)
+        m._e = e
+        m._key = None
+        m._hash = h
+        return m
 
     @staticmethod
     def one() -> "Monomial":
@@ -95,16 +112,22 @@ class Monomial:
             return other
         if not other._e:
             return self
-        e = dict(self._e)
+        e = self._e.copy()
         for k, v in other._e.items():
-            e[k] = e.get(k, 0) + v
-        return Monomial(e)
+            v += e.get(k, 0)
+            if v:
+                e[k] = v
+            else:
+                del e[k]
+        return Monomial._raw(e, (self._hash + other._hash) % _HASH_MOD)
 
     def inv(self) -> "Monomial":
-        return Monomial({k: -v for k, v in self._e.items()})
+        return Monomial._raw({k: -v for k, v in self._e.items()}, -self._hash % _HASH_MOD)
 
     def __pow__(self, k: int) -> "Monomial":
-        return Monomial({key: v * k for key, v in self._e.items()})
+        if not k:
+            return _UNIT
+        return Monomial._raw({key: v * k for key, v in self._e.items()}, self._hash * k % _HASH_MOD)
 
     def is_i_dominant(self, i: int) -> bool:
         return all(v >= 0 for (node, _), v in self._e.items() if node == i)

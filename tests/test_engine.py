@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qtchar import engine, yalgebra
+from qtchar import engine, tableaux_a, tableaux_d, yalgebra
 from qtchar.cli import parse_factors
 from qtchar.engine import (
     FundamentalSpec,
@@ -187,8 +187,13 @@ def test_engine_builds_each_invariant_once(d5, monkeypatch):
         "_rank_one_factor",
         lambda d, i, a, u: factors.append((i, a, u)) or real_factor(d, i, a, u),
     )
+    heights = []
+    real_height = engine._height
+    monkeypatch.setattr(engine, "_height", lambda w, m: heights.append(m) or real_height(w, m))
     fundamental_character(DynkinDiagram.type_d(7), FundamentalSpec(4, q(0)))
     assert factors and len(factors) == len(set(factors))
+    # the drop degree of each emitted monomial is read once, in any direction
+    assert heights and len(heights) == len(set(heights))
 
     tops = []
     real_profile = engine.v_profile
@@ -202,6 +207,34 @@ def test_engine_builds_each_invariant_once(d5, monkeypatch):
         (f.top for f in set(fs) for _ in range(len(fundamental_character(d5, f)))),
         key=Monomial.sort_key,
     )
+
+
+def test_product_loops_build_no_monomial_through_init(d5, monkeypatch):
+    fs = DrinfeldData(parse_factors(d5, "1:a:0,2:a:1,spin+:a:2")).roots
+    n = d5.rank
+    pools = [tableaux_d._pool(n, tableaux_d._columns(n, f)) for f in fs]
+    tables = {
+        (id(pools[a]), id(pools[b])): tableaux_d._twist_table(n, pools[a], pools[b])
+        for b in range(len(pools))
+        for a in range(b)
+    }
+    terms = [engine._certified(d5, fundamental_character(d5, f), f.top, "right") for f in fs]
+    tops = [Monomial.one()]
+    for f in fs:
+        tops.append(tops[-1] * f.top)
+    expected = tableaux_d.standard_char_tableaux(d5, DrinfeldData(fs))
+
+    inits = []
+    real_init = Monomial.__init__
+    monkeypatch.setattr(
+        Monomial, "__init__", lambda self, exps=None: inits.append(exps) or real_init(self, exps)
+    )
+    walked = tableaux_a._tableaux_sum(d5, fs, pools, lambda xs, ys: tables[(id(xs), id(ys))])
+    folded = engine._unit()
+    for right, mp in zip(terms, tops):
+        folded = engine._fold(folded, right, mp)
+    assert inits == []
+    assert walked == expected and engine._character(d5, folded) == expected
 
 
 def test_standard_character_worked_example_one(a2):

@@ -70,6 +70,34 @@ def test_monomial_identity_ignores_insertion_order(exps, rnd):
         assert str(m) == str(other)
 
 
+_EXPS = st.dictionaries(
+    st.tuples(st.integers(1, 4), st.sampled_from("ab"), st.integers(-3, 3)),
+    st.integers(-3, 3),
+    max_size=6,
+)
+
+
+@settings(max_examples=80)
+@given(_EXPS, _EXPS, st.integers(-3, 3))
+def test_monomial_products_add_their_hashes(a, b, k):
+    ea = {(n, Spectral(base, s)): e for (n, base, s), e in a.items()}
+    eb = {(n, Spectral(base, s)): e for (n, base, s), e in b.items()}
+    ma, mb = Monomial(ea), Monomial(eb)
+    assert hash(ma) == sum(e * hash(key) for key, e in ea.items()) % (2**61 - 1)
+    merged = dict(ea)
+    for key, e in eb.items():
+        merged[key] = merged.get(key, 0) + e
+    for got, fresh in (
+        (ma * mb, Monomial(merged)),
+        (ma.inv(), Monomial({key: -e for key, e in ea.items()})),
+        (ma**k, Monomial({key: e * k for key, e in ea.items()})),
+    ):
+        assert got == fresh and hash(got) == hash(fresh)
+        assert 0 not in got._e.values()
+    for unit in (ma * ma.inv(), ma * mb * ma.inv() * mb.inv(), mb**0):
+        assert unit == Monomial.one() and hash(unit) == 0 and unit._e == {}
+
+
 def test_monomial_canonical_order_and_unit():
     m = Monomial.from_factors(
         [(2, Spectral("b", 0), 1), (1, q(3), -1), (3, q(-1), 2), (1, q(-1), 1)]
