@@ -156,6 +156,8 @@ def cmd_graph(d, factors, args) -> Tuple[int, str]:
 def cmd_crystal(d, factors, args) -> Tuple[int, str]:
     if not factors:
         raise UsageError("crystal expects at least one factor")
+    if args.output not in ("text", "dot"):
+        raise UsageError(f"crystal supports --output text or dot, not {args.output}")
     g = generate_crystal(d, Monomial.from_factors((f.node, f.spectral, 1) for f in factors))
     problems = verify_crystal_axioms(g)
     if args.output == "dot":

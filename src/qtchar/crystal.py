@@ -11,6 +11,7 @@ under the lowering operators realizes the highest-weight crystal.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import CapExceededError, NotInParitySetError, NotLDominantError, QtcharError
@@ -18,62 +19,69 @@ from .rootdata import DynkinDiagram, bipartite_coloring, simple_root
 from .yalgebra import Monomial, Spectral, a_monomial
 
 DEFAULT_VERTEX_CAP = 10**6
+_FLAT = (0, 0, None, None)  # (eps, phi, p_index, q_index) at a node absent from m
 
 
-def _node_line(m: Monomial, i: int) -> List[Tuple[int, int]]:
-    """Sorted (qexp, exponent) pairs for node i; demands a single base."""
-    m.single_base()
-    return sorted((a.qexp, v) for (node, a), v in m.items() if node == i)
-
-
-def _line_stats(m: Monomial, i: int) -> Tuple[int, int, Optional[int], Optional[int]]:
-    """(eps, phi, p_index, q_index) from one pass each way along the node line."""
-    line = _node_line(m, i)
-    e, p, run = 0, None, 0
-    for k, v in reversed(line):
-        run -= v
-        if run > e:
-            e, p = run, k
-    f, qn, run = 0, None, 0
-    for k, v in line:
-        run += v
-        if run > f:
-            f, qn = run, k
-    return e, f, p, qn
+def _vertex_stats(m: Monomial) -> Tuple[Optional[str], Dict[int, Tuple]]:
+    """m's base and (eps, phi, p_index, q_index) per node, from one walk over m."""
+    base = None
+    lines: Dict[int, List[Tuple[int, int]]] = {}
+    for (node, a), v in m._e.items():
+        if base is not None and a.base != base:
+            m.single_base()  # raises MixedBaseError naming the bases
+        base = a.base
+        lines.setdefault(node, []).append((a.qexp, v))
+    stats = {}
+    for node, line in lines.items():
+        line.sort()
+        e, p, run = 0, None, 0
+        for k, v in reversed(line):
+            run -= v
+            if run > e:
+                e, p = run, k
+        f, qn, run = 0, None, 0
+        for k, v in line:
+            run += v
+            if run > f:
+                f, qn = run, k
+        stats[node] = (e, f, p, qn)
+    return base, stats
 
 
 def eps(m: Monomial, i: int) -> int:
-    return _line_stats(m, i)[0]
+    return _vertex_stats(m)[1].get(i, _FLAT)[0]
 
 
 def phi(m: Monomial, i: int) -> int:
-    return _line_stats(m, i)[1]
+    return _vertex_stats(m)[1].get(i, _FLAT)[1]
 
 
 def p_index(m: Monomial, i: int) -> Optional[int]:
     """Largest n where the eps partial sum peaks; None when eps is zero."""
-    return _line_stats(m, i)[2]
+    return _vertex_stats(m)[1].get(i, _FLAT)[2]
 
 
 def q_index(m: Monomial, i: int) -> Optional[int]:
     """Smallest n where the phi partial sum peaks; None when phi is zero."""
-    return _line_stats(m, i)[3]
+    return _vertex_stats(m)[1].get(i, _FLAT)[3]
 
 
 def kashiwara_e(d: DynkinDiagram, m: Monomial, i: int) -> Optional[Monomial]:
     """Raising operator: multiply by A(i, q^(p-1)); None when eps is zero."""
-    p = p_index(m, i)
+    base, stats = _vertex_stats(m)
+    p = stats.get(i, _FLAT)[2]
     if p is None:
         return None
-    return m * a_monomial(d, i, Spectral(m.single_base(), p - 1))
+    return m * a_monomial(d, i, Spectral(base, p - 1))
 
 
 def kashiwara_f(d: DynkinDiagram, m: Monomial, i: int) -> Optional[Monomial]:
     """Lowering operator: divide by A(i, q^(q+1)); None when phi is zero."""
-    qn = q_index(m, i)
+    base, stats = _vertex_stats(m)
+    qn = stats.get(i, _FLAT)[3]
     if qn is None:
         return None
-    return m * a_monomial(d, i, Spectral(m.single_base(), qn + 1)).inv()
+    return m * a_monomial(d, i, Spectral(base, qn + 1)).inv()
 
 
 def in_parity_set(d: DynkinDiagram, m: Monomial, coloring: Dict[int, int]) -> bool:
@@ -112,7 +120,10 @@ class CrystalGraph:
         return sorted(self.vertices, key=Monomial.sort_key)
 
     def sorted_edges(self) -> List[Tuple[Monomial, Monomial, int]]:
-        return sorted(self.edges, key=lambda e: (e[0].sort_key(), e[2]))
+        """By the source's sort_key rank among vertices and sources, then color."""
+        sources = self.vertices.union(e[0] for e in self.edges)
+        rank = {m: k for k, m in enumerate(sorted(sources, key=Monomial.sort_key))}
+        return sorted(self.edges, key=lambda e: (rank[e[0]], e[2]))
 
     def canonical_hash(self) -> Tuple:
         """Shape of the colored graph, invariant under relabeling monomials.
@@ -139,13 +150,11 @@ class CrystalGraph:
         return (len(self.vertices), tuple(sorted(shape)))
 
     def to_dot(self) -> str:
+        rank = {m: k for k, m in enumerate(self.sorted_vertices())}
         lines = ["digraph crystal {"]
-        names = {}
-        for k, m in enumerate(self.sorted_vertices()):
-            names[m] = f"v{k}"
-            lines.append(f'  v{k} [label="{m}"];')
-        for m1, m2, i in self.sorted_edges():
-            lines.append(f'  {names[m1]} -> {names[m2]} [label="{i}"];')
+        lines += [f'  v{k} [label="{m}"];' for m, k in rank.items()]
+        for m1, m2, i in sorted(self.edges, key=lambda e: (rank[e[0]], e[2])):
+            lines.append(f'  v{rank[m1]} -> v{rank[m2]} [label="{i}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -179,59 +188,71 @@ def generate_crystal(
         raise NotInParitySetError(f"{m0} violates the given coloring")
     if cap is None:
         cap = _env_vertex_cap()
-    seen = {m0}
+    down = lru_cache(None)(lambda i, a: a_monomial(d, i, a).inv())
+    seen = {m0: m0}
     queue = [m0]
     edges = []
     while queue:
         m = queue.pop()
+        base, stats = _vertex_stats(m)
         for i in d.nodes:
-            m2 = kashiwara_f(d, m, i)
-            if m2 is None:
+            qn = stats.get(i, _FLAT)[3]
+            if qn is None:
                 continue
+            m2 = m * down(i, Spectral(base, qn + 1))
+            m2 = seen.get(m2, m2)  # an edge holds the stored vertex, not an equal copy
             edges.append((m, m2, i))
             if m2 not in seen:
                 if len(seen) >= cap:
                     raise CapExceededError(f"crystal exceeded {cap} vertices")
-                seen.add(m2)
+                seen[m2] = m2
                 queue.append(m2)
     return CrystalGraph(d, coloring, m0, seen, edges)
 
 
 def verify_crystal_axioms(g: CrystalGraph) -> List[str]:
-    """Check the defining identities on every vertex; returns violations."""
+    """Check the defining identities on every vertex; returns violations.
+
+    Statistics and weights are recomputed once per monomial met, never read
+    from generate_crystal; violations come by vertex in sort_key order.
+    """
     d = g.diagram
+    simple = {i: simple_root(d, i) for i in d.nodes}
+    up = lru_cache(None)(lambda i, a: a_monomial(d, i, a))
+    down = lru_cache(None)(lambda i, a: up(i, a).inv())
+    read = lru_cache(None)(lambda m: (*_vertex_stats(m), m.weight()))
     problems = []
-    roots = {i: simple_root(d, i) for i in d.nodes}
     lowering_edges = 0
-    for m in g.sorted_vertices():
-        wt = m.weight()
-        base = m.single_base()
+    for m in g.vertices:
+        base, stats, wt = read(m)
         for i in d.nodes:
-            e1, f1, _, qn = _line_stats(m, i)
+            e1, f1, _, qn = stats.get(i, _FLAT)
             if f1 - e1 != wt.coeff(i):
-                problems.append(f"phi-eps mismatch at {m}, direction {i}")
+                problems.append((m, f"phi-eps mismatch at {m}, direction {i}"))
             if qn is None:
                 continue
-            m2 = m * a_monomial(d, i, Spectral(base, qn + 1)).inv()
+            m2 = m * down(i, Spectral(base, qn + 1))
             if (m, m2, i) in g.edges:
                 lowering_edges += 1
             elif m2 in g.vertices:
-                problems.append(f"missing edge {m} -{i}-> {m2}")
-            e2, f2, p2, _ = _line_stats(m2, i)
-            if p2 is None or m2 * a_monomial(d, i, Spectral(base, p2 - 1)) != m:
-                problems.append(f"raise(lower) != id at {m}, direction {i}")
-            if m2.weight() != wt - roots[i]:
-                problems.append(f"weight step wrong at {m}, direction {i}")
+                problems.append((m, f"missing edge {m} -{i}-> {m2}"))
+            _, stats2, wt2 = read(m2)
+            e2, f2, p2, _ = stats2.get(i, _FLAT)
+            if p2 is None or m2 * up(i, Spectral(base, p2 - 1)) != m:
+                problems.append((m, f"raise(lower) != id at {m}, direction {i}"))
+            if wt2 != wt - simple[i]:
+                problems.append((m, f"weight step wrong at {m}, direction {i}"))
             if e2 != e1 + 1:
-                problems.append(f"eps step wrong at {m}, direction {i}")
+                problems.append((m, f"eps step wrong at {m}, direction {i}"))
             if f2 != f1 - 1:
-                problems.append(f"phi step wrong at {m}, direction {i}")
+                problems.append((m, f"phi step wrong at {m}, direction {i}"))
+    out = [text for _, text in sorted(problems, key=lambda p: p[0].sort_key())]
     if lowering_edges == len(g.edges):  # every edge was met as a lowering step
-        return problems
+        return out
     for m, m2, i in g.sorted_edges():
         if kashiwara_f(d, m, i) != m2:
-            problems.append(f"edge {m} -{i}-> {m2} is not a lowering step")
-    return problems
+            out.append(f"edge {m} -{i}-> {m2} is not a lowering step")
+    return out
 
 
 def layer_from_orientation(

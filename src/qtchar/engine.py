@@ -267,21 +267,20 @@ class GammaGraph:
         self.edges = frozenset(edges)
 
     def sorted_edges(self) -> List[Tuple[Monomial, Monomial, int, Spectral]]:
-        return sorted(
-            self.edges,
-            key=lambda e: (e[0].sort_key(), e[2], e[3].base, e[3].qexp),
-        )
+        """By the source's sort_key rank among vertices and sources, then node and a."""
+        sources = self.vertices.keys() | {e[0] for e in self.edges}
+        rank = {m: k for k, m in enumerate(sorted(sources, key=Monomial.sort_key))}
+        return sorted(self.edges, key=lambda e: (rank[e[0]], e[2], e[3]))
 
     def to_dot(self) -> str:
+        rank = {m: k for k, m in enumerate(sorted(self.vertices, key=Monomial.sort_key))}
         lines = ["digraph character {"]
-        names = {}
-        for k, m in enumerate(sorted(self.vertices, key=Monomial.sort_key)):
-            names[m] = f"v{k}"
+        for m, k in rank.items():
             coeff = self.vertices[m]
             label = str(m) if coeff == ONE else f"({coeff}) {m}"
             lines.append(f'  v{k} [label="{label}"];')
-        for m1, m2, i, a in self.sorted_edges():
-            lines.append(f'  {names[m1]} -> {names[m2]} [label="{i},{a}"];')
+        for m1, m2, i, a in sorted(self.edges, key=lambda e: (rank[e[0]], e[2], e[3])):
+            lines.append(f'  v{rank[m1]} -> v{rank[m2]} [label="{i},{a}"];')
         lines.append("}")
         return "\n".join(lines)
 

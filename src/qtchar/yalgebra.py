@@ -289,10 +289,6 @@ class Character:
     def unit(d: DynkinDiagram) -> "Character":
         return Character(d, {Monomial.one(): ONE})
 
-    @staticmethod
-    def of_monomial(d: DynkinDiagram, m: Monomial, c: IntLaurent = ONE) -> "Character":
-        return Character(d, {m: c})
-
     def coeff(self, m: Monomial) -> IntLaurent:
         return self._t.get(m, IntLaurent.zero())
 

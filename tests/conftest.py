@@ -1,7 +1,8 @@
+from typing import List, Tuple
+
 import pytest
 
 from qtchar import DynkinDiagram, Monomial, Spectral
-from qtchar.crystal import _node_line
 
 
 @pytest.fixture
@@ -33,6 +34,12 @@ def ym(*factors) -> Monomial:
     return Monomial.from_factors(
         (f[0], q(f[1]), f[2] if len(f) > 2 else 1) for f in factors
     )
+
+
+def _node_line(m: Monomial, i: int) -> List[Tuple[int, int]]:
+    """Sorted (qexp, exponent) pairs for node i; demands a single base."""
+    m.single_base()
+    return sorted((a.qexp, v) for (node, a), v in m.items() if node == i)
 
 
 def eps_n(m: Monomial, i: int, n: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -87,6 +88,53 @@ def test_crystal_command():
     assert code == 0
     assert "vertices 8 edges 8" in text
     assert "axioms ok" in text
+
+
+def test_crystal_refuses_json_output():
+    code, text = run(
+        ["--diagram", "A:2", "crystal", "--factors", "1:a:0,2:a:1", "--output", "json"]
+    )
+    assert code == 2
+    assert text == "error: crystal supports --output text or dot, not json"
+
+
+# sha256 of the graph and crystal outputs on the benchmark's four large graph
+# cases and the A2 worked example, pinned so any change to their text, JSON or
+# DOT (vertex names, edge order, labels) shows up.
+PINNED_OUTPUTS = {
+    ("D:4", "1:a:0,2:a:1,3:a:2", "graph", "dot"): (0, "20a6ce416cb253291c07185447fd4dad6fff912bda5d1a792666fa64980ed45f"),
+    ("D:4", "1:a:0,2:a:1,3:a:2", "graph", "text"): (0, "092acfcc0145ff81fe2300776a7b938c418ea1ce92fb130a9a7e7dec04329d4c"),
+    ("D:4", "1:a:0,2:a:1,3:a:2", "graph", "json"): (0, "eab916e9c21d84b3b23355e4c24a1951de116159305ec87975b79062422c0863"),
+    ("D:4", "1:a:0,2:a:1,3:a:2", "crystal", "dot"): (0, "7d495d91dd133d4c2cebd31346faec564f4992f00f9e7929ad2595165b2f9232"),
+    ("D:4", "1:a:0,2:a:1,3:a:2", "crystal", "text"): (0, "692a60a058dca35aafb6b4eb557a1df801ea92288be5a6fb6dcbbdbc26d5e6cd"),
+    ("D:5", "1:a:0,spin+:a:1", "graph", "dot"): (0, "f42066fb3c2eec6c2c906a15798264248c683ab56451fc99dea200c04860db2b"),
+    ("D:5", "1:a:0,spin+:a:1", "graph", "text"): (0, "0186ab06f483935a28c59380dcfb0276fe0d2e6fcda86ebfbbd0289d1e73983a"),
+    ("D:5", "1:a:0,spin+:a:1", "graph", "json"): (0, "4e888c3a8630682de69690e126f88892ffc65d31bd93f24f2fba70c5ffdae6a7"),
+    ("D:5", "1:a:0,spin+:a:1", "crystal", "dot"): (0, "dd00140afa26bdbd828ca5c8fe2fb0df2701b62ff440d4a9c47a692fe5f8a7d0"),
+    ("D:5", "1:a:0,spin+:a:1", "crystal", "text"): (0, "a4b5efeb760015c6a6c81d85de89007ef6b85b8b1f65940aa0a5af4fc7aeb06e"),
+    ("A:3", "1:a:0,2:a:1,1:a:2,2:a:3", "graph", "dot"): (0, "392b5db352b49666d898ccb8ca2f9f467f17720c85377bd41289f5e155a697d1"),
+    ("A:3", "1:a:0,2:a:1,1:a:2,2:a:3", "graph", "text"): (0, "e3451699c79d29e5ca4c08c6a67f5a8286038f3a2cf2d10ec00ad49ceb9f4582"),
+    ("A:3", "1:a:0,2:a:1,1:a:2,2:a:3", "graph", "json"): (0, "7fcb077c781f618b563054c86271b34b98d1ca6c9344e2df93370f1a9d93850c"),
+    ("A:3", "1:a:0,2:a:1,1:a:2,2:a:3", "crystal", "dot"): (0, "b273c51a2a421500eb5aad2c9427878684866ae953f42b8a9a3e62191ee6c473"),
+    ("A:3", "1:a:0,2:a:1,1:a:2,2:a:3", "crystal", "text"): (0, "4f52112fb616537dfee5c6b0e504de1cc15e3d8f33e31d62ed48f8930bb3d8cd"),
+    ("A:4", "1:a:0,2:a:1,1:a:4", "graph", "dot"): (0, "8a9faa857b6115ba5d682f1b8202f26c32e28d1b39b4bfe39d504e665d969a02"),
+    ("A:4", "1:a:0,2:a:1,1:a:4", "graph", "text"): (0, "2cbc89fbbfe3879c8e7c46f055e614b4cbdec601a2952d5409b4df3312c96afd"),
+    ("A:4", "1:a:0,2:a:1,1:a:4", "graph", "json"): (0, "930c3a9241059dfce0eed50c879d4b4c06725dd904ba66ef7723c24809fc0b79"),
+    ("A:4", "1:a:0,2:a:1,1:a:4", "crystal", "dot"): (0, "400e9342bcf844d64ded9007af65b764a0e6797928c2c29f4abac8b30718d8b6"),
+    ("A:4", "1:a:0,2:a:1,1:a:4", "crystal", "text"): (0, "197c82484463efac8cc2dcccab6b9049e35b64984ffd556c970c0c88756b7b65"),
+    ("A:2", "1:a:0,2:a:1", "graph", "dot"): (0, "7cc70bbae304f68b28ec1a2eb6a19116e1bd29923678021fcfb24c80d376a8b8"),
+    ("A:2", "1:a:0,2:a:1", "graph", "text"): (0, "df58396cc0db3d1fa235337d53fa327fb16568442bcf581cfabce68bdad28451"),
+    ("A:2", "1:a:0,2:a:1", "graph", "json"): (0, "986eca96b6ac09b5b2fabd996ff9328c7779835ada98ecf9aaf8f89a8a548d8f"),
+    ("A:2", "1:a:0,2:a:1", "crystal", "dot"): (0, "5ae006f3cbed3aec87e59b693dcb58669c11a597fe02312c8d3226f720514b8c"),
+    ("A:2", "1:a:0,2:a:1", "crystal", "text"): (0, "8613f9b2bf92956d32a33693624728ee2b7bbd308221d6ebae5d9cec4af26cea"),
+}
+
+
+@pytest.mark.parametrize("diagram,factors,command,output", sorted(PINNED_OUTPUTS))
+def test_graph_and_crystal_outputs_are_pinned(diagram, factors, command, output):
+    code, text = run(["--diagram", diagram, command, "--factors", factors, "--output", output])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (code, digest) == PINNED_OUTPUTS[diagram, factors, command, output]
 
 
 def test_spin_command():

@@ -14,7 +14,13 @@ from qtchar.crystal import (
     verify_crystal_axioms,
     CrystalGraph,
 )
-from qtchar.errors import CapExceededError, NotLDominantError, NotInParitySetError, QtcharError
+from qtchar.errors import (
+    CapExceededError,
+    MixedBaseError,
+    NotInParitySetError,
+    NotLDominantError,
+    QtcharError,
+)
 from qtchar.rootdata import DynkinDiagram, Weight, weyl_dimension
 from qtchar.yalgebra import Monomial
 
@@ -197,6 +203,35 @@ def test_corrupted_graph_is_reported(a2):
     # an extra edge leaves no lowering step missing; only the edge scan sees it
     extra = CrystalGraph(a2, g.coloring, g.highest, g.vertices, g.edges | {(src, src, i)})
     assert verify_crystal_axioms(extra) == [f"edge {src} -{i}-> {src} is not a lowering step"]
+
+
+def test_violations_at_two_vertices_come_in_vertex_order(a2):
+    g = generate_crystal(a2, ym((1, 0), (2, 1)))
+    top, other = ym((1, 0), (2, 1)), ym((1, 2, -1), (2, 1, 2))
+    cut = {(other, ym((2, 1), (2, 3, -1)), 2), (top, ym((1, 0), (1, 2), (2, 3, -1)), 2)}
+    assert cut <= g.edges
+    # one wrong edge from a vertex, one from a monomial outside the graph
+    wrong = {(ym((1, 0), (1, 4, -1)), top, 1), (ym((1, 0, 5)), top, 1)}
+    bad = CrystalGraph(a2, g.coloring, g.highest, g.vertices, (g.edges - cut) | wrong)
+    assert verify_crystal_axioms(bad) == [
+        "missing edge Y(1,a) Y(2,aq) -2-> Y(1,a) Y(1,aq^2) Y(2,aq^3)^-1",
+        "missing edge Y(2,aq)^2 Y(1,aq^2)^-1 -2-> Y(2,aq) Y(2,aq^3)^-1",
+        "edge Y(1,a) Y(1,aq^4)^-1 -1-> Y(1,a) Y(2,aq) is not a lowering step",
+        "edge Y(1,a)^5 -1-> Y(1,a) Y(2,aq) is not a lowering step",
+    ]
+
+
+def test_mixed_base_monomials_are_refused(a2):
+    m = ym((1, 0)) * Monomial.y(2, q(1, "b"))
+    text = r"^monomial mixes bases \['a', 'b'\]$"
+    for stat in (eps, phi, p_index, q_index):
+        with pytest.raises(MixedBaseError, match=text):
+            stat(m, 1)
+    for op in (kashiwara_e, kashiwara_f):
+        with pytest.raises(MixedBaseError, match=text):
+            op(a2, m, 2)
+    with pytest.raises(MixedBaseError, match=text):
+        generate_crystal(a2, m)
 
 
 def test_layer_from_orientation(a2, a3):

@@ -6,7 +6,7 @@ from typing import Dict
 
 from hypothesis import example, given, settings, strategies as st
 
-from qtchar.crystal import eps, p_index, phi, q_index
+from qtchar.crystal import _vertex_stats, eps, p_index, phi, q_index
 from qtchar.engine import GammaGraph, gamma_graph, standard_character
 from qtchar.laurent import ONE, IntLaurent
 from qtchar.rootdata import DynkinDiagram
@@ -92,6 +92,17 @@ def test_gamma_graph_d5_pinned_edge_count(d5):
         assert m2 == m1 * a_monomial(d5, i, a).inv()
 
 
+def partial_sum_stats(m: Monomial, i: int):
+    """(eps, phi, p_index, q_index) at node i by maximizing eps_n/phi_n."""
+    ks = [a.qexp for (node, a) in m._e if node == i] or [0]
+    ns = range(min(ks) - 1, max(ks) + 2)
+    e = max(eps_n(m, i, n) for n in ns)
+    f = max(phi_n(m, i, n) for n in ns)
+    p = max(n for n in ns if eps_n(m, i, n) == e) if e else None
+    qn = min(n for n in ns if phi_n(m, i, n) == f) if f else None
+    return e, f, p, qn
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 3),
@@ -102,10 +113,9 @@ def test_line_statistics_match_partial_sums(i, line, others):
     exps = {(node, q(s)): e for (node, s), e in others.items() if node != i}
     exps.update({(i, q(s)): e for s, e in line.items()})
     m = Monomial(exps)
-    ks = [s for s, e in line.items() if e] or [0]
-    ns = range(min(ks) - 1, max(ks) + 2)
-    e = max(eps_n(m, i, n) for n in ns)
-    f = max(phi_n(m, i, n) for n in ns)
-    assert eps(m, i) == e and phi(m, i) == f
-    assert p_index(m, i) == (max(n for n in ns if eps_n(m, i, n) == e) if e else None)
-    assert q_index(m, i) == (min(n for n in ns if phi_n(m, i, n) == f) if f else None)
+    base, stats = _vertex_stats(m)
+    assert base == (None if m.is_unit() else "a")
+    for j in (1, 2, 3):  # every node of m at once, and the absent ones
+        want = partial_sum_stats(m, j)
+        assert stats.get(j, (0, 0, None, None)) == want
+        assert (eps(m, j), phi(m, j), p_index(m, j), q_index(m, j)) == want
