@@ -119,11 +119,12 @@ class CrystalGraph:
     def sorted_vertices(self) -> List[Monomial]:
         return sorted(self.vertices, key=Monomial.sort_key)
 
+    @staticmethod
+    def _edge_key(source_key):  # by source, ranked as sort_key ranks it, then color
+        return lambda e: (source_key(e[0]), e[2])
+
     def sorted_edges(self) -> List[Tuple[Monomial, Monomial, int]]:
-        """By the source's sort_key rank among vertices and sources, then color."""
-        sources = self.vertices.union(e[0] for e in self.edges)
-        rank = {m: k for k, m in enumerate(sorted(sources, key=Monomial.sort_key))}
-        return sorted(self.edges, key=lambda e: (rank[e[0]], e[2]))
+        return sorted(self.edges, key=self._edge_key(Monomial.sort_key))
 
     def canonical_hash(self) -> Tuple:
         """Shape of the colored graph, invariant under relabeling monomials.
@@ -153,7 +154,7 @@ class CrystalGraph:
         rank = {m: k for k, m in enumerate(self.sorted_vertices())}
         lines = ["digraph crystal {"]
         lines += [f'  v{k} [label="{m}"];' for m, k in rank.items()]
-        for m1, m2, i in sorted(self.edges, key=lambda e: (rank[e[0]], e[2])):
+        for m1, m2, i in sorted(self.edges, key=self._edge_key(rank.__getitem__)):
             lines.append(f'  v{rank[m1]} -> v{rank[m2]} [label="{i}"];')
         lines.append("}")
         return "\n".join(lines)

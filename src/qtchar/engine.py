@@ -266,11 +266,12 @@ class GammaGraph:
         self.vertices = dict(vertices)
         self.edges = frozenset(edges)
 
+    @staticmethod
+    def _edge_key(source_key):  # by source, ranked as sort_key ranks it, then node and a
+        return lambda e: (source_key(e[0]), e[2], e[3].base, e[3].qexp)
+
     def sorted_edges(self) -> List[Tuple[Monomial, Monomial, int, Spectral]]:
-        """By the source's sort_key rank among vertices and sources, then node and a."""
-        sources = self.vertices.keys() | {e[0] for e in self.edges}
-        rank = {m: k for k, m in enumerate(sorted(sources, key=Monomial.sort_key))}
-        return sorted(self.edges, key=lambda e: (rank[e[0]], e[2], e[3]))
+        return sorted(self.edges, key=self._edge_key(Monomial.sort_key))
 
     def to_dot(self) -> str:
         rank = {m: k for k, m in enumerate(sorted(self.vertices, key=Monomial.sort_key))}
@@ -279,7 +280,7 @@ class GammaGraph:
             coeff = self.vertices[m]
             label = str(m) if coeff == ONE else f"({coeff}) {m}"
             lines.append(f'  v{k} [label="{label}"];')
-        for m1, m2, i, a in sorted(self.edges, key=lambda e: (rank[e[0]], e[2], e[3])):
+        for m1, m2, i, a in sorted(self.edges, key=self._edge_key(rank.__getitem__)):
             lines.append(f'  v{rank[m1]} -> v{rank[m2]} [label="{i},{a}"];')
         lines.append("}")
         return "\n".join(lines)
