@@ -76,6 +76,13 @@ def parse_factors(d: DynkinDiagram, text: str) -> List[FundamentalSpec]:
                 raise UsageError(f"factor {pos} ({token!r}): node outside 1..{d.rank}")
         if not base:
             raise UsageError(f"factor {pos} ({token!r}): empty base symbol")
+        # a base prints as itself before q^k, so q or a non-letter would let
+        # two different factors print alike (aq:0 and a:1 both print aq)
+        if not (base.isascii() and base.isalpha()) or "q" in base:
+            raise UsageError(
+                f"factor {pos} ({token!r}): bad base symbol {base!r}: "
+                "expected ASCII letters other than q"
+            )
         try:
             k = int(qexp)
         except ValueError:

@@ -29,8 +29,6 @@ from .yalgebra import (
     Spectral,
     _HASH_MOD,
     _block,
-    _height,
-    _height_weights,
     _shift_down,
     _twist_exponent,
     a_monomial,
@@ -47,35 +45,63 @@ def fundamental_character(
     Raises InconsistentCharacterError if two directions force different
     coefficients, and LDominantEncounteredError if a dominant monomial other
     than the top appears, since induction then underdetermines the result.
+    Either refusal names the first offending monomial in Monomial.sort_key
+    order among those of the round that fails.
     """
+    final, _ = _closure(d, f.top, max_rounds)
+    return Character(d, {m: IntLaurent(c) for m, c in final.items()})
+
+
+def _fundamental_terms(
+    d: DynkinDiagram, f: FundamentalSpec, max_rounds: int = 100000
+) -> List[Term]:
+    """fundamental_character's terms with their drop profiles below f.top.
+
+    Each profile is carried, not solved: it is the profile of the head whose
+    block first reached the term, plus that block term's drops.
+    """
+    final, origin = _closure(d, f.top, max_rounds)
+    profiles: Dict[Monomial, Profile] = {f.top: {}}
+    terms = []
+    # final holds each head before every monomial its blocks reached
+    for m, c in final.items():
+        head, drops = origin[m]
+        v = profiles[m] = dict(profiles[head])
+        for k, r in drops:
+            v[k] = v.get(k, 0) + r
+        terms.append((m, c, v))
+    return terms
+
+
+def _closure(d: DynkinDiagram, top: Monomial, max_rounds: int):
+    """The closure below top: its raw {monomial: {texp: coeff}} terms, each
+    filed after the head that reached it, and each emitted monomial's origin
+    (head, drops), read from the block term that first reached it."""
     if isinstance(max_rounds, bool) or not isinstance(max_rounds, int) or max_rounds < 1:
         raise QtcharError(f"max_rounds must be a positive integer, got {max_rounds!r}")
-    top = f.top
     # final and pending hold raw {texp: coeff} maps; pending[i] accumulates
     # every emitted rank-one block in direction i, updated in place
     final: Dict[Monomial, Dict[int, int]] = {top: {0: 1}}
     pending: List[Dict[Monomial, Dict[int, int]]] = [dict() for _ in range(d.rank + 1)]
     # tables[i] holds direction i's rank-one factors for this call
     tables: List[dict] = [dict() for _ in range(d.rank + 1)]
-    levels: Dict[int, List[Monomial]] = {0: [top]}
     # buckets[k] holds each monomial emitted k root-monomial drops below the
-    # top; the height is additive, so the drop degree is read on insertion
+    # top: its head's degree plus the drops of the block term that reached it
     buckets: Dict[int, set] = {}
-    # every monomial ever filed in a bucket: a later entry in another
-    # direction, or after a cancellation, neither re-reads nor re-files it
-    filed = {top}
-    w, scale = _height_weights(d)
-    htop = _height(w, top)
+    # every monomial ever filed in a bucket, with the head and drops that first
+    # reached it: a later entry in another direction, or after a cancellation,
+    # neither re-reads nor re-files it
+    origin: Dict[Monomial, tuple] = {top: (top, ())}
 
-    def emit(i: int, head: Monomial, c: Dict[int, int]) -> None:
+    def emit(i: int, head: Monomial, c: Dict[int, int], deg: int) -> None:
         dest = pending[i]
-        for m, cc in _block(d, head, i, tables[i], c).items():
+        for m, cc, drops in _block(d, head, i, tables[i], c):
             acc = dest.get(m)
             if acc is None:
                 dest[m] = cc
-                if m not in filed:
-                    filed.add(m)
-                    buckets.setdefault((htop - _height(w, m)) // scale, set()).add(m)
+                if m not in origin:
+                    origin[m] = (head, drops)
+                    buckets.setdefault(deg + sum(r for _, r in drops), set()).add(m)
                 continue
             for e, v in cc.items():
                 v += acc.get(e, 0)
@@ -86,11 +112,14 @@ def fundamental_character(
             if not acc:
                 del dest[m]
 
-    def flush_level(deg: int) -> None:
-        for m in sorted(levels.get(deg, ()), key=Monomial.sort_key):
+    def flush_level(level: List[Monomial], deg: int) -> None:
+        # a block at a node where m has no exponent is {m: r}, and nothing
+        # reads pending at a flushed monomial again, so only m's nodes emit
+        bad = []
+        for m in level:
             a = final[m]
             low = _negative_nodes(m)
-            for i in d.nodes:
+            for i in {node for node, _ in m._e}:
                 p = pending[i].get(m)
                 if p is None:
                     r = a
@@ -105,35 +134,42 @@ def fundamental_character(
                         else:
                             del r[e]
                 if i in low:
-                    raise InconsistentCharacterError(
-                        f"residual {IntLaurent(r)} at non-{i}-dominant {m}"
-                    )
-                emit(i, m, r)
+                    bad.append((m.sort_key(), i, f"residual {IntLaurent(r)} at non-{i}-dominant {m}"))
+                    continue
+                emit(i, m, r, deg)
+        if bad:
+            raise InconsistentCharacterError(min(bad)[2])
 
-    flush_level(0)
+    flush_level([top], 0)
     for deg in range(1, max_rounds + 1):
         if all(k < deg for k in buckets):
-            return Character(d, {m: IntLaurent(c) for m, c in final.items()})
-        # a cancelled entry may linger in a bucket; its predictions are all zero
-        for m in sorted(buckets.pop(deg, ()), key=Monomial.sort_key):
-            forcing = sorted(_negative_nodes(m))
+            return final, origin
+        # a cancelled entry may linger in a bucket; its predictions are all zero.
+        # Buckets and levels are walked in set order, so each refusal is kept
+        # to the end of its round and the sort-first one is raised
+        level = []
+        bad = []
+        for m in buckets.pop(deg, ()):
+            forcing = _negative_nodes(m)
             if not forcing:
                 if any(m in p for p in pending):
-                    raise LDominantEncounteredError(
+                    bad.append((m.sort_key(), LDominantEncounteredError(
                         f"dominant monomial {m} appeared below the top; "
                         "the inductive method does not apply"
-                    )
+                    )))
                 continue
-            a = pending[forcing[0]].get(m)
-            if any(pending[i].get(m) != a for i in forcing[1:]):
-                raise InconsistentCharacterError(
+            a, *rest = [pending[i].get(m) for i in forcing]
+            if any(p != a for p in rest):
+                bad.append((m.sort_key(), InconsistentCharacterError(
                     f"directions disagree at {m}: "
-                    + ", ".join(f"{i}:{IntLaurent(pending[i].get(m))}" for i in forcing)
-                )
-            if a:
+                    + ", ".join(f"{i}:{IntLaurent(pending[i].get(m))}" for i in sorted(forcing))
+                )))
+            elif a:
                 final[m] = dict(a)
-                levels.setdefault(deg, []).append(m)
-        flush_level(deg)
+                level.append(m)
+        if bad:
+            raise min(bad, key=lambda b: b[0])[1]
+        flush_level(level, deg)
     raise InconsistentCharacterError("closure did not terminate")
 
 
@@ -232,15 +268,16 @@ def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
     """Left-fold of twisted products over the admissibly ordered factors,
     starting from the unit.
 
-    Each distinct fundamental is computed and certified once; the running
-    product carries its terms' drops, so no accumulated term is re-solved.
+    Each distinct fundamental is computed once, and its terms keep the drop
+    profiles its closure carried; the running product carries its terms'
+    drops too, so no term is ever solved with v_profile.
     """
     if len(p.roots) == 1:
         return fundamental_character(d, p.roots[0])
     terms: Dict[FundamentalSpec, List[Term]] = {}
     for f in p.roots:
         if f not in terms:
-            terms[f] = _certified(d, fundamental_character(d, f), f.top, "right")
+            terms[f] = _fundamental_terms(d, f)
     chi, mp = _unit(), Monomial.one()
     for f in p.roots:
         chi = _fold(chi, terms[f], mp)

@@ -365,43 +365,46 @@ def forget_spectral(chi: Character) -> Dict[Tuple[Tuple[int, int], ...], IntLaur
 
 def _rank_one_factor(
     d: DynkinDiagram, i: int, a: Spectral, u: int
-) -> List[Tuple[Monomial, Dict[int, int]]]:
+) -> List[Tuple[Monomial, Dict[int, int], Tuple]]:
     """The block factor sum_r t^(r(u-r)) [u,r]_t A(i,aq)^-r for u = u(i,a) > 0,
-    as (A(i,aq)^-r, raw {texp: coeff}) pairs for r = 0..u."""
-    am = a_monomial(d, i, a.shift(1)).inv()
+    as (A(i,aq)^-r, raw {texp: coeff}, drops) triples for r = 0..u, where
+    drops is ((i, aq), r) as a one-pair tuple, empty for r = 0."""
+    key = (i, a.shift(1))
+    am = a_monomial(d, i, key[1]).inv()
     factor = []
     step = Monomial.one()
     for r in range(u + 1):
-        factor.append((step, t_binomial(u, r).shifted(r * (u - r))._c))
+        factor.append((step, t_binomial(u, r).shifted(r * (u - r))._c, ((key, r),) if r else ()))
         step = step * am
     return factor
 
 
 def _block(
     d: DynkinDiagram, m: Monomial, i: int, table: dict, c: Dict[int, int]
-) -> Dict[Monomial, Dict[int, int]]:
+) -> List[Tuple[Monomial, Dict[int, int], Tuple]]:
     """The rank-one block of the i-dominant m in direction i, scaled by the raw
-    coefficient c, as fresh raw {monomial: {texp: coeff}} maps.
+    coefficient c, as fresh (monomial, raw {texp: coeff}, drops) triples.
 
+    A term's drops are the pairs ((i, aq), r) with term = m * prod A(i,aq)^-r.
     Each factor is read from table, keyed by (spectral, u) for direction i and
     filled on a miss.  The factors' root monomials are independent, so every
     product of terms is a distinct monomial and nothing merges.
     """
-    block = {m: dict(c)}
+    block = [(m, dict(c), ())]
     for (node, a), u in m._e.items():
         if node != i or u <= 0:
             continue
         factor = table.get((a, u))
         if factor is None:
             factor = table[(a, u)] = _rank_one_factor(d, i, a, u)
-        terms = {}
-        for m1, c1 in block.items():
-            for step, c2 in factor:
+        terms = []
+        for m1, c1, v1 in block:
+            for step, c2, v2 in factor:
                 acc: Dict[int, int] = {}
-                for e1, v1 in c1.items():
-                    for e2, v2 in c2.items():
-                        acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
-                terms[m1 * step] = acc
+                for e1, w1 in c1.items():
+                    for e2, w2 in c2.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + w1 * w2
+                terms.append((m1 * step, acc, v1 + v2))
         block = terms
     return block
 
@@ -415,7 +418,7 @@ def e_expansion(d: DynkinDiagram, m: Monomial, i: int) -> Character:
     """
     if not m.is_i_dominant(i):
         raise NotIDominantError(f"{m} is not {i}-dominant")
-    return Character(d, {k: IntLaurent(c) for k, c in _block(d, m, i, {}, {0: 1}).items()})
+    return Character(d, {k: IntLaurent(c) for k, c, _ in _block(d, m, i, {}, {0: 1})})
 
 
 _MAX_BLOCKS = 100000
@@ -440,7 +443,7 @@ def e_decompose(d: DynkinDiagram, chi: Character, i: int) -> List[Tuple[Monomial
             raise NotDecomposableError(f"maximal monomial {top} is not {i}-dominant")
         c = rem[top]
         blocks.append((top, c))
-        for m, cc in _block(d, top, i, table, c._c).items():
+        for m, cc, _ in _block(d, top, i, table, c._c):
             nv = rem.get(m, IntLaurent.zero()) - IntLaurent(cc)
             if nv:
                 rem[m] = nv

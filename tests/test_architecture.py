@@ -16,6 +16,8 @@ ENGINE_KERNELS = {
     "_fold",
     "twisted_product",
     "fundamental_character",
+    "_fundamental_terms",
+    "_closure",
     "standard_character",
 }
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtchar.cli import UsageError, parse_diagram, parse_factors, run
 from qtchar.yalgebra import character_from_json, character_to_json
@@ -30,6 +31,21 @@ def test_parse_factors_position_precise_errors():
     a2 = DynkinDiagram.type_a(2)
     with pytest.raises(UsageError, match="spin"):
         parse_factors(a2, "spin+:a:0")
+
+
+def test_parse_factors_refuses_bases_that_print_ambiguously():
+    # each would print like a different factor: Y(1,aq) is also 1:a:1
+    d = DynkinDiagram.type_a(2)
+    for pos, factors in ((1, "1:aq:0"), (1, "1:aq:0,1:a:1"), (2, "1:a:1,1:q:0"), (1, "1: a :0")):
+        with pytest.raises(UsageError, match=f"factor {pos} .*bad base symbol"):
+            parse_factors(d, factors)
+    for base in ("a1", "a_b", "é", "Q\n"):
+        with pytest.raises(UsageError, match="bad base symbol"):
+            parse_factors(d, f"1:{base}:0")
+    assert [f.spectral.base for f in parse_factors(d, "1:Ab:0,2:xyz:1")] == ["Ab", "xyz"]
+    code, text = run(["--diagram", "A:2", "standard", "--factors", "1:a:1,1:aq:0"])
+    assert code == 2
+    assert text == "error: factor 2 ('1:aq:0'): bad base symbol 'aq': expected ASCII letters other than q"
 
 
 def test_standard_dot_output():
@@ -156,3 +172,44 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _ = run(["--diagram", "A:2", "fundamental", "--factors", "1:a:0,2:a:1"])
     assert code == 2
+
+
+HEADS = {
+    "A:1": ["1"],
+    "A:2": ["1", "2"],
+    "A:3": ["1", "2", "3"],
+    # node 2 of D4 (29 terms) is left out: three of them take ~0.15 s to fold
+    "D:4": ["1", "3", "4", "spin+", "spin-"],
+}
+BAD_HEADS = ["0", "5", "-1", "+1", " 1", "x", "", "spin", "spin+ "]
+BASES = ["a", "b", "aq", "q", " a ", "", "a b", "A", "é", "a1"]
+QEXPS = ["+3", "-0", " 2", "", "x", "1.5", "1_0", "\u0663"]
+
+
+@st.composite
+def factor_strings(draw):
+    diagram = draw(st.sampled_from(sorted(HEADS)))
+    tokens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            parts = [
+                draw(st.sampled_from(HEADS[diagram] + BAD_HEADS)),
+                draw(st.sampled_from(BASES)),
+                draw(st.one_of(st.integers(-(10**12), 10**12).map(str), st.sampled_from(QEXPS))),
+            ]
+            cut = draw(st.integers(1, 4))
+            token = ":".join(parts[:cut] if cut <= 3 else parts + ["0"])
+        else:
+            token = draw(st.text(":,+-0123456789aqs pin", max_size=8))
+        tokens.append(token)
+    return diagram, ",".join(tokens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(factor_strings(), st.sampled_from(["fundamental", "standard", "spin", "restrict"]))
+def test_cli_fuzz_ends_in_an_exit_code(case, command):
+    diagram, factors = case
+    code, text = run(["--diagram", diagram, command, "--factors", factors])
+    assert code in (0, 1, 2)
+    if code:
+        assert text.count("\n") == 0

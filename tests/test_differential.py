@@ -1,15 +1,29 @@
 """The engine against itself and against the tableaux sums on generated
 factor lists: standard_character, the left fold of twisted_product over the
-admissibly ordered roots, and standard_char_tableaux must agree."""
+admissibly ordered roots, and standard_char_tableaux must agree.  The drop
+profiles the closure carries must be the solved ones."""
 
 from math import comb, prod
 
 from hypothesis import given, settings, strategies as st
 
 from qtchar import tableaux_a, tableaux_d
-from qtchar.engine import fundamental_character, standard_character, twisted_product
+from qtchar.engine import (
+    _fundamental_terms,
+    fundamental_character,
+    standard_character,
+    twisted_product,
+)
+from qtchar.laurent import IntLaurent
 from qtchar.rootdata import DynkinDiagram
-from qtchar.yalgebra import DrinfeldData, FundamentalSpec, Spectral, specialize_t
+from qtchar.yalgebra import (
+    DrinfeldData,
+    FundamentalSpec,
+    Spectral,
+    drop_degree,
+    specialize_t,
+    v_profile,
+)
 
 DIAGRAMS = (
     DynkinDiagram.type_a(2),
@@ -66,3 +80,26 @@ def test_standard_character_is_the_twisted_fold_and_the_tableaux_sum(case):
     assert chi == fold
     tableaux = tableaux_a if d.kind == "A" else tableaux_d
     assert chi == tableaux.standard_char_tableaux(d, p)
+
+
+PROFILE_DIAGRAMS = tuple(DynkinDiagram.type_a(n) for n in range(2, 6)) + tuple(
+    DynkinDiagram.type_d(n) for n in range(4, 7)
+)
+
+
+@st.composite
+def fundamentals(draw):
+    d = draw(st.sampled_from(PROFILE_DIAGRAMS))
+    node = draw(st.sampled_from(d.nodes))
+    return d, FundamentalSpec(node, Spectral(draw(st.sampled_from("ab")), draw(st.integers(-4, 4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fundamentals())
+def test_carried_profiles_are_the_solved_profiles(case):
+    d, f = case
+    terms = _fundamental_terms(d, f)
+    assert {m: IntLaurent(c) for m, c, _ in terms} == fundamental_character(d, f)._t
+    for m, _, v in terms:
+        assert v == v_profile(d, m, f.top)
+        assert sum(v.values()) == drop_degree(d, m, f.top)

@@ -1,3 +1,4 @@
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -88,6 +89,42 @@ def test_fundamental_closure_refusals(a2, d5):
     with pytest.raises(InconsistentCharacterError, match="did not terminate"):
         fundamental_character(d5, f, max_rounds=14)
     assert len(fundamental_character(d5, f, max_rounds=15)) == 45
+
+
+def test_closure_refusals_name_the_sort_first_monomial(a2, d4):
+    # a round's failures are found in set order, which follows the hashes of
+    # the bases; the refusal must still name the first in Monomial.sort_key
+    # order, here the dominant monomial left on the smaller base
+    a1 = DynkinDiagram.type_a(1)
+    for x, y in combinations("abcdefgh", 2):
+        for first, second in ((x, y), (y, x)):
+            top = Monomial.from_factors(
+                (1, Spectral(b, k), 1) for b in (first, second) for k in (0, 2)
+            )
+            with pytest.raises(LDominantEncounteredError) as info:
+                fundamental_character(a1, SimpleNamespace(top=top))
+            assert str(info.value) == (
+                f"dominant monomial Y(1,{x}) Y(1,{x}q^2) appeared below the top; "
+                "the inductive method does not apply"
+            )
+    def mono(*factors):
+        return Monomial.from_factors((i, Spectral(b, k), e) for i, b, k, e in factors)
+
+    refusals = [
+        (a2, mono((1, "a", 0, -1), (2, "b", 0, -1)), InconsistentCharacterError,
+         "residual 1 at non-1-dominant Y(1,a)^-1 Y(2,b)^-1"),
+        (a2, mono((2, "a", -2, 1), (2, "a", 0, 1), (2, "a", 2, 2)), LDominantEncounteredError,
+         "dominant monomial Y(2,aq^-2) Y(1,aq) Y(2,aq^2) appeared below the top; "
+         "the inductive method does not apply"),
+        (d4, mono((1, "a", 0, 1), (1, "a", 2, 1), (2, "b", 0, 1), (2, "b", 2, 1)),
+         LDominantEncounteredError,
+         "dominant monomial Y(1,a) Y(1,aq^2) Y(1,bq) Y(3,bq) Y(4,bq) appeared below the top; "
+         "the inductive method does not apply"),
+    ]
+    for d, top, error, message in refusals:
+        with pytest.raises(error) as info:
+            fundamental_character(d, SimpleNamespace(top=top))
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "15", None])
@@ -188,25 +225,32 @@ def test_engine_builds_each_invariant_once(d5, monkeypatch):
         lambda d, i, a, u: factors.append((i, a, u)) or real_factor(d, i, a, u),
     )
     heights = []
-    real_height = engine._height
-    monkeypatch.setattr(engine, "_height", lambda w, m: heights.append(m) or real_height(w, m))
+    real_height = yalgebra._height
+    for module in (engine, yalgebra):
+        monkeypatch.setattr(
+            module,
+            "_height",
+            lambda w, m: heights.append(m) or real_height(w, m),
+            raising=False,
+        )
     fundamental_character(DynkinDiagram.type_d(7), FundamentalSpec(4, q(0)))
     assert factors and len(factors) == len(set(factors))
-    # the drop degree of each emitted monomial is read once, in any direction
-    assert heights and len(heights) == len(set(heights))
+    # each monomial's drop degree is carried from the block term that reached it
+    assert heights == []
 
-    tops = []
-    real_profile = engine.v_profile
-    monkeypatch.setattr(
-        engine, "v_profile", lambda d, m, mp: tops.append(mp) or real_profile(d, m, mp)
-    )
+    profiles = []
+    for module in (engine, yalgebra):
+        real_profile = module.v_profile
+        monkeypatch.setattr(
+            module,
+            "v_profile",
+            lambda d, m, mp, real=real_profile: profiles.append(m) or real(d, m, mp),
+        )
     fs = parse_factors(d5, "1:a:0,2:a:1,spin+:a:2")
     standard_character(d5, DrinfeldData(fs))
-    # one certificate per term of each distinct fundamental, none on a product
-    assert sorted(tops, key=Monomial.sort_key) == sorted(
-        (f.top for f in set(fs) for _ in range(len(fundamental_character(d5, f)))),
-        key=Monomial.sort_key,
-    )
+    # the closure carries every fundamental term's profile: nothing is solved
+    assert profiles == []
+    assert heights == []
 
 
 def test_product_loops_build_no_monomial_through_init(d5, monkeypatch):
@@ -218,7 +262,7 @@ def test_product_loops_build_no_monomial_through_init(d5, monkeypatch):
         for b in range(len(pools))
         for a in range(b)
     }
-    terms = [engine._certified(d5, fundamental_character(d5, f), f.top, "right") for f in fs]
+    terms = [engine._fundamental_terms(d5, f) for f in fs]
     tops = [Monomial.one()]
     for f in fs:
         tops.append(tops[-1] * f.top)
