@@ -73,7 +73,9 @@ def _fundamental_terms(
     return terms
 
 
-def _closure(d: DynkinDiagram, top: Monomial, max_rounds: int):
+def _closure(
+    d: DynkinDiagram, top: Monomial, max_rounds: int
+) -> Tuple[Dict[Monomial, Dict[int, int]], Dict[Monomial, tuple]]:
     """The closure below top: its raw {monomial: {texp: coeff}} terms, each
     filed after the head that reached it, and each emitted monomial's origin
     (head, drops), read from the block term that first reached it."""
@@ -134,7 +136,8 @@ def _closure(d: DynkinDiagram, top: Monomial, max_rounds: int):
                         else:
                             del r[e]
                 if i in low:
-                    bad.append((m.sort_key(), i, f"residual {IntLaurent(r)} at non-{i}-dominant {m}"))
+                    message = f"residual {IntLaurent(r)} at non-{i}-dominant {m}"
+                    bad.append((m.sort_key(), i, message))
                     continue
                 emit(i, m, r, deg)
         if bad:

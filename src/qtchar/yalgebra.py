@@ -369,12 +369,13 @@ def _rank_one_factor(
     """The block factor sum_r t^(r(u-r)) [u,r]_t A(i,aq)^-r for u = u(i,a) > 0,
     as (A(i,aq)^-r, raw {texp: coeff}, drops) triples for r = 0..u, where
     drops is ((i, aq), r) as a one-pair tuple, empty for r = 0."""
-    key = (i, a.shift(1))
-    am = a_monomial(d, i, key[1]).inv()
+    aq = a.shift(1)
+    am = a_monomial(d, i, aq).inv()
     factor = []
     step = Monomial.one()
     for r in range(u + 1):
-        factor.append((step, t_binomial(u, r).shifted(r * (u - r))._c, ((key, r),) if r else ()))
+        drops = (((i, aq), r),) if r else ()
+        factor.append((step, t_binomial(u, r).shifted(r * (u - r))._c, drops))
         step = step * am
     return factor
 

@@ -34,9 +34,10 @@ def test_parse_factors_position_precise_errors():
 
 
 def test_parse_factors_refuses_bases_that_print_ambiguously():
-    # each would print like a different factor: Y(1,aq) is also 1:a:1
+    # such bases can print like another factor: 1:aq:0 and 1:a:1 both print Y(1,aq)
     d = DynkinDiagram.type_a(2)
-    for pos, factors in ((1, "1:aq:0"), (1, "1:aq:0,1:a:1"), (2, "1:a:1,1:q:0"), (1, "1: a :0")):
+    cases = ((1, "1:aq:0"), (1, "1:aq:0,1:a:1"), (2, "1:a:1,1:q:0"), (1, "1: a :0"))
+    for pos, factors in cases:
         with pytest.raises(UsageError, match=f"factor {pos} .*bad base symbol"):
             parse_factors(d, factors)
     for base in ("a1", "a_b", "é", "Q\n"):
@@ -45,7 +46,9 @@ def test_parse_factors_refuses_bases_that_print_ambiguously():
     assert [f.spectral.base for f in parse_factors(d, "1:Ab:0,2:xyz:1")] == ["Ab", "xyz"]
     code, text = run(["--diagram", "A:2", "standard", "--factors", "1:a:1,1:aq:0"])
     assert code == 2
-    assert text == "error: factor 2 ('1:aq:0'): bad base symbol 'aq': expected ASCII letters other than q"
+    assert text == (
+        "error: factor 2 ('1:aq:0'): bad base symbol 'aq': expected ASCII letters other than q"
+    )
 
 
 def test_standard_dot_output():

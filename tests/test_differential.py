@@ -91,7 +91,8 @@ PROFILE_DIAGRAMS = tuple(DynkinDiagram.type_a(n) for n in range(2, 6)) + tuple(
 def fundamentals(draw):
     d = draw(st.sampled_from(PROFILE_DIAGRAMS))
     node = draw(st.sampled_from(d.nodes))
-    return d, FundamentalSpec(node, Spectral(draw(st.sampled_from("ab")), draw(st.integers(-4, 4))))
+    a = Spectral(draw(st.sampled_from("ab")), draw(st.integers(-4, 4)))
+    return d, FundamentalSpec(node, a)
 
 
 @settings(max_examples=60, deadline=None)
