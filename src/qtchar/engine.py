@@ -52,15 +52,13 @@ def fundamental_character(
     return Character(d, {m: IntLaurent(c) for m, c in final.items()})
 
 
-def _fundamental_terms(
-    d: DynkinDiagram, f: FundamentalSpec, max_rounds: int = 100000
-) -> List[Term]:
+def _fundamental_terms(d: DynkinDiagram, f: FundamentalSpec) -> List[Term]:
     """fundamental_character's terms with their drop profiles below f.top.
 
     Each profile is carried, not solved: it is the profile of the head whose
     block first reached the term, plus that block term's drops.
     """
-    final, origin = _closure(d, f.top, max_rounds)
+    final, origin = _closure(d, f.top)
     profiles: Dict[Monomial, Profile] = {f.top: {}}
     terms = []
     # final holds each head before every monomial its blocks reached
@@ -74,7 +72,7 @@ def _fundamental_terms(
 
 
 def _closure(
-    d: DynkinDiagram, top: Monomial, max_rounds: int
+    d: DynkinDiagram, top: Monomial, max_rounds: int = 100000
 ) -> Tuple[Dict[Monomial, Dict[int, int]], Dict[Monomial, tuple]]:
     """The closure below top: its raw {monomial: {texp: coeff}} terms, each
     filed after the head that reached it, and each emitted monomial's origin
