@@ -40,6 +40,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals are one stderr line, with no usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def parse_diagram(text: str) -> DynkinDiagram:
     try:
         kind, rank = text.split(":")
@@ -302,7 +309,7 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qtchar",
         description="t-weighted characters of loop-algebra modules, two ways",
     )

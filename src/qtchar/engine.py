@@ -5,7 +5,8 @@ root-monomial drop at a time.  At each depth the coefficient of a monomial
 that fails dominance in some direction is forced by the rank-one block
 structure in that direction; all forcing directions must agree.  Standard
 characters are twisted products of fundamentals taken in an order that keeps
-every spectral-parameter ratio below q^2.
+every spectral-parameter ratio below q^2, one interaction class at a time;
+the classes multiply with no twist.
 """
 
 from __future__ import annotations
@@ -218,6 +219,15 @@ def _unit() -> Folded:
     return {Monomial.one(): ({0: 1}, ({}, {}))}
 
 
+def _summed(drops: Tuple[Profile, Profile]) -> Profile:
+    """A folded term's own down-shifted profile: the sum of its two halves."""
+    da, db = drops
+    out = dict(da)
+    for k, v in db.items():
+        out[k] = out.get(k, 0) + v
+    return out
+
+
 def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
     """The t^(2d)-twisted product of folded left terms below mp1 and right
     terms (m2, c2, v2).
@@ -229,10 +239,8 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
     # the half of the twist that depends on m2 alone, once per m2
     rows = [(m2, c2, _twist_exponent({}, m2, mp1, v2), _shift_down(v2)) for m2, c2, v2 in right]
     out: Folded = {}
-    for m1, (c1, (da, db)) in left.items():
-        down1 = dict(da)
-        for k, v in db.items():
-            down1[k] = down1.get(k, 0) + v
+    for m1, (c1, drops) in left.items():
+        down1 = _summed(drops)
         for m2, c2, tw2, down2 in rows:
             tw = 2 * (tw2 + _twist_exponent(down1, m2, mp1, {}))
             key = m1 * m2
@@ -244,6 +252,28 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
                 for e2, v2 in c2.items():
                     e = e1 + e2 + tw
                     acc[e] = acc.get(e, 0) + v1 * v2
+    return out
+
+
+def _times(left: Folded, right: Folded) -> Folded:
+    """The plain product of folded terms of different interaction classes.
+
+    The twist between classes is zero, so the coefficients only multiply;
+    each product term carries its two factors' drops, as _fold's terms do.
+    """
+    rows = [(m2, c2.items(), _summed(p2)) for m2, (c2, p2) in right.items()]
+    out: Folded = {}
+    for m1, (c1, p1) in left.items():
+        c1, down1 = c1.items(), _summed(p1)
+        for m2, c2, down2 in rows:
+            key = m1 * m2
+            entry = out.get(key)
+            if entry is None:
+                entry = out[key] = ({}, (down1, down2))
+            acc = entry[0]
+            for e1, v1 in c1:
+                for e2, v2 in c2:
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
     return out
 
 
@@ -266,8 +296,9 @@ def twisted_product(
 
 
 def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
-    """Left-fold of twisted products over the admissibly ordered factors,
-    starting from the unit.
+    """Left-fold of twisted products over each interaction class's admissibly
+    ordered factors, starting from the unit; the classes' folds multiply
+    with no twist (see DrinfeldData.classes).
 
     Each distinct fundamental is computed once, and its terms keep the drop
     profiles its closure carried; the running product carries its terms'
@@ -279,11 +310,14 @@ def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
     for f in p.roots:
         if f not in terms:
             terms[f] = _fundamental_terms(d, f)
-    chi, mp = _unit(), Monomial.one()
-    for f in p.roots:
-        chi = _fold(chi, terms[f], mp)
-        mp = mp * f.top
-    return _character(d, chi)
+    out = None
+    for cls in p.classes(d):
+        chi, mp = _unit(), Monomial.one()
+        for f in cls.roots:
+            chi = _fold(chi, terms[f], mp)
+            mp = mp * f.top
+        out = chi if out is None else _times(out, chi)
+    return _character(d, out)
 
 
 def rescaled_tilde(d: DynkinDiagram, chi: Character, mp: Monomial) -> Character:

@@ -19,6 +19,13 @@ class IntLaurent:
         self._c = {e: c for e, c in (coeffs or {}).items() if c != 0}
 
     @staticmethod
+    def _raw(coeffs: dict[int, int]) -> "IntLaurent":
+        """A polynomial on the zero-free map coeffs; unchecked, not copied."""
+        p = object.__new__(IntLaurent)
+        p._c = coeffs
+        return p
+
+    @staticmethod
     def zero() -> "IntLaurent":
         return IntLaurent()
 

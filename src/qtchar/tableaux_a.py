@@ -73,12 +73,6 @@ class AColumn(Column):
 
     __slots__ = ()
 
-    def value_at(self, b: Spectral) -> int:
-        """Entry in the row at spectral parameter b, 0 off the support."""
-        if b.base != self.center.base:
-            return 0
-        return self.entry_at(b.qexp - self.center.qexp) or 0
-
     def __repr__(self) -> str:
         body = ",".join(str(e) for e in self.entries)
         return f"[{body}]_{self.center}"
@@ -125,6 +119,8 @@ def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[AColumn]:
 
 
 PoolRow = Tuple[Column, Monomial, int]
+# A raw sum {monomial: {texp: count}}; every count is positive
+Raw = Dict[Monomial, Dict[int, int]]
 
 
 def _pool(n: int, cols: Iterable[AColumn]) -> List[PoolRow]:
@@ -132,14 +128,15 @@ def _pool(n: int, cols: Iterable[AColumn]) -> List[PoolRow]:
     return [(col, column_monomial(n, col), 0) for col in cols]
 
 
-def _column_sum(d: DynkinDiagram, rows: Iterable[PoolRow]) -> Character:
+def _character(d: DynkinDiagram, terms: Raw) -> Character:
+    """The raw sum as a Character, built once and unchecked: a count is
+    positive, so no map holds a zero."""
+    return Character._raw(d, {m: IntLaurent._raw(c) for m, c in terms.items()})
+
+
+def _column_sum(d: DynkinDiagram, rows: List[PoolRow]) -> Character:
     """Sum of t^(2 l) m over (column, m, l) pool rows."""
-    terms: Dict[Monomial, IntLaurent] = {}
-    for _, m, deg in rows:
-        add = IntLaurent.term(1, 2 * deg)
-        prev = terms.get(m)
-        terms[m] = add if prev is None else prev + add
-    return Character(d, terms)
+    return _character(d, _walk([rows], [[]]))
 
 
 def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Character:
@@ -167,43 +164,47 @@ def d_columns(ca: AColumn, cb: AColumn) -> int:
     Zero whenever the supports live in different q^2-classes.
     """
     s = s_offset(ca, cb)
-    if s is None:
-        return 0
+    return 0 if s is None else _pinched(ca.entries, cb.entries, s)
+
+
+def _pinched(xa: Tuple[int, ...], xb: Tuple[int, ...], s: int) -> int:
+    """d_columns on the entries of two columns at the row offset s: row p of
+    cb sits beside row p + s of ca, and ca's row N + 1 beside cb's N + 1 - s."""
+    na = len(xa)
     total = 0
-    for b, jb in cb.rows():
-        if ca.value_at(b.shift(2)) < jb < ca.value_at(b):
+    # only rows beside ca can be pinched: ca reads 0 off its rows
+    for p in range(max(1, 1 - s), min(len(xb), na - s) + 1):
+        k = p + s - 1
+        if (xa[k - 1] if k else 0) < xb[p - 1] < xa[k]:
             total += 1
-    below = cb.value_at(ca.center.shift(-1 - ca.length))
-    if ca.length < below <= ca.entries[-1]:
+    j = na - s
+    below = xb[j] if 0 <= j < len(xb) else 0
+    if na < below <= xa[-1]:
         total -= 1
-    if s >= 1 and ca.length < below:
+    if s >= 1 and na < below:
         total += 1
     return total
 
 
-def _tableaux_sum(
-    d: DynkinDiagram,
-    factors: Sequence[FundamentalSpec],
-    pools: List[List[PoolRow]],
-    twist_table: Callable[[Sequence[PoolRow], Sequence[PoolRow]], List[List[int]]],
-) -> Character:
-    """Sum of t^(2 sum l + 2 sum twist) m_T over tableaux with one column per pool.
+def _d_table(xs: Sequence[PoolRow], ys: Sequence[PoolRow]) -> List[List[int]]:
+    """d_columns of the ordered column pairs of two pools; a pool's columns
+    share one center and length, so one row offset serves the table."""
+    s = s_offset(xs[0][0], ys[0][0])
+    if s is None:
+        return [[0] * len(ys) for _ in xs]
+    return [[_pinched(x[0].entries, y[0].entries, s) for y in ys] for x in xs]
 
-    pools[k] holds one (column, monomial, l-degree) row per column of the
-    k-th ordered factor; twist_table(xs, ys)[j][k] is the pair statistic of
-    the ordered column pair (xs[j], ys[k]).  One table is built per pool pair
-    alpha < beta whose factors share a base (across bases every twist is 0),
-    so the walk over tableaux only multiplies monomials and looks twists up;
-    each prefix's monomial and exponent are shared by all of its extensions.
+
+def _walk(pools: List[List[PoolRow]], tables: List[List[Tuple[int, List[List[int]]]]]) -> Raw:
+    """Raw sum of t^(2 sum l + 2 sum twist) m_T over tableaux with one column per pool.
+
+    pools[k] holds one (column, monomial, l-degree) row per column; tables[b]
+    lists (a, table) for pools a < b, where table[j][k] is the twist of the
+    column pair (pools[a][j], pools[b][k]).  The walk only multiplies
+    monomials and looks twists up; each prefix's monomial and exponent are
+    shared by all of its extensions.
     """
-    if not pools:
-        return Character.unit(d)
-    tables = [
-        [(a, twist_table(pools[a], pools[b]))
-         for a in range(b) if factors[a].spectral.base == factors[b].spectral.base]
-        for b in range(len(pools))
-    ]
-    terms: Dict[Monomial, Dict[int, int]] = {}
+    terms: Raw = {}
     last = len(pools) - 1
 
     def place(b: int, chosen: Tuple[int, ...], mono: Monomial, expo: int) -> None:
@@ -224,7 +225,56 @@ def _tableaux_sum(
             place(b + 1, chosen + (k,), mono * m, expo + deg + tw)
 
     place(0, (), Monomial.one(), 0)
-    return Character(d, {m: IntLaurent(c) for m, c in terms.items()})
+    return terms
+
+
+def _times(left: Raw, right: Raw) -> Raw:
+    """The plain product of two raw sums; positive counts stay positive."""
+    rows = [(m2, c2.items()) for m2, c2 in right.items()]
+    out: Raw = {}
+    for m1, c1 in left.items():
+        c1 = c1.items()
+        for m2, c2 in rows:
+            key = m1 * m2
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            for e1, v1 in c1:
+                for e2, v2 in c2:
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
+    return out
+
+
+def _tableaux_sum(
+    d: DynkinDiagram,
+    factors: Sequence[FundamentalSpec],
+    pools: List[List[PoolRow]],
+    twist_table: Callable[[Sequence[PoolRow], Sequence[PoolRow]], List[List[int]]],
+) -> Character:
+    """Sum of t^(2 sum l + 2 sum twist) m_T over tableaux with one column per pool.
+
+    pools[k] holds one (column, monomial, l-degree) row per column of the
+    k-th ordered factor; twist_table(xs, ys)[j][k] is the pair statistic of
+    the ordered column pair (xs[j], ys[k]).  Twists vanish across interaction
+    classes (DrinfeldData.classes), so each class is walked on its own, with
+    one table per pool pair alpha < beta, and the classes' sums multiply with
+    no twist.  Equal factors share a pool, and equal factor pairs a table.
+    """
+    pool = dict(zip(factors, pools))
+    tables: Dict[Tuple[FundamentalSpec, FundamentalSpec], List[List[int]]] = {}
+    out: Optional[Raw] = None
+    for cls in DrinfeldData(factors).classes(d):
+        fs = cls.roots
+        for b, fb in enumerate(fs):
+            for fa in fs[:b]:
+                if (fa, fb) not in tables:
+                    tables[fa, fb] = twist_table(pool[fa], pool[fb])
+        terms = _walk(
+            [pool[f] for f in fs],
+            [[(a, tables[fa, fb]) for a, fa in enumerate(fs[:b])] for b, fb in enumerate(fs)],
+        )
+        out = terms if out is None else _times(out, terms)
+    return Character.unit(d) if out is None else _character(d, out)
 
 
 def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
@@ -233,9 +283,7 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
         raise OutOfRangeError("type A tableaux need a type A diagram")
     n = d.rank
     pools = [_pool(n, enumerate_fundamental_columns(n, f.node, f.spectral)) for f in p.roots]
-    return _tableaux_sum(
-        d, p.roots, pools, lambda xs, ys: [[d_columns(x[0], y[0]) for y in ys] for x in xs]
-    )
+    return _tableaux_sum(d, p.roots, pools, _d_table)
 
 
 # ---------------------------------------------------------------------------

@@ -404,22 +404,31 @@ def _columns(n: int, f: FundamentalSpec) -> List[Column]:
 
 
 def _twist_table(n: int, xs: Sequence[PoolRow], ys: Sequence[PoolRow]) -> List[List[int]]:
-    """Twist exponents of the ordered column pairs of two same-base pools.
+    """Twist exponents of the ordered column pairs of two same-class pools.
 
     The twist of (x, y) sums x's drops at (i,cq) against u(y's monomial) at
-    (i,c), plus u(x's head) at (i,cq) against y's drops at (i,c); the drops of
-    each row, shifted down by q, and the half that reads y alone are built
-    once per table.
+    (i,c), plus u(x's head) at (i,cq) against y's drops at (i,c).  The ys'
+    monomials are indexed by variable, so a drop of x visits only the ys
+    that carry its variable; the half that reads y alone is built once.
     """
+    carriers: Dict[Tuple[int, Spectral], List[Tuple[int, int]]] = {}
+    for k, (_, m, _) in enumerate(ys):
+        for key, u in m._e.items():
+            carriers.setdefault(key, []).append((k, u))
     top = column_top(n, xs[0][0])
-    down = [
-        [((i, c.shift(-1)), v) for (i, c), v in drop_family(n, x[0]).items()] for x in xs
-    ]
-    right = [
-        sum(top.u(i, c.shift(1)) * v for (i, c), v in drop_family(n, y[0]).items())
-        for y in ys
-    ]
-    return [[r + sum(v * y[1].u(*k) for k, v in dx) for y, r in zip(ys, right)] for dx in down]
+    heads = [((i, c.shift(-1)), u) for (i, c), u in top._e.items()]
+    right = []
+    for y in ys:
+        drops = drop_family(n, y[0])
+        right.append(sum(u * drops.get(k, 0) for k, u in heads))
+    table = []
+    for x in xs:
+        row = list(right)
+        for (i, c), v in drop_family(n, x[0]).items():
+            for k, u in carriers.get((i, c.shift(-1)), ()):
+                row[k] += v * u
+        table.append(row)
+    return table
 
 
 def d_tableau(d: DynkinDiagram, t: DTableau, p: DrinfeldData) -> int:

@@ -21,7 +21,7 @@ from .errors import (
     QtcharError,
 )
 from .laurent import ONE, IntLaurent, t_binomial
-from .rootdata import DynkinDiagram, Weight, positive_roots
+from .rootdata import DynkinDiagram, Weight, bipartite_coloring, positive_roots
 
 
 class Spectral(NamedTuple):
@@ -51,11 +51,22 @@ def _var_key(item):
 _HASH_MOD = (1 << 61) - 1
 
 
+@lru_cache(maxsize=4096)
+def _var_hash(k: Tuple[int, Spectral]) -> int:
+    """A variable's share of a monomial hash: hash(k) through a nonlinear mix.
+
+    Tuple hashes are close to linear in their fields, so plain sums of them
+    collide on monomials that trade one shifted variable for another.  Cached,
+    so a construction pays the mix once per recent variable."""
+    h = hash(k)
+    return (h * h + h) % _HASH_MOD
+
+
 class Monomial:
     """Product of Y(i, a)^e factors; the empty product is the unit.
 
     Immutable and hashable; equality and hashing read the unordered exponent
-    map.  The hash is additive, sum of e * hash((node, a)) modulo _HASH_MOD,
+    map.  The hash is additive, sum of e * _var_hash((node, a)) modulo _HASH_MOD,
     so a product's hash is the sum of its factors' and no product re-hashes;
     equality still compares the maps, so a collision cannot merge monomials.
     The canonical variable order (base, qexp, node), used for deterministic
@@ -68,7 +79,7 @@ class Monomial:
         e = {k: v for k, v in (exps or {}).items() if v != 0}
         self._e = e
         self._key = None
-        self._hash = sum(map(mul, e.values(), map(hash, e))) % _HASH_MOD
+        self._hash = sum(map(mul, e.values(), map(_var_hash, e))) % _HASH_MOD
 
     @staticmethod
     def _raw(e: Dict[Tuple[int, Spectral], int], h: int) -> "Monomial":
@@ -284,6 +295,14 @@ class Character:
     def __init__(self, diagram: DynkinDiagram, terms: Dict[Monomial, IntLaurent] | None = None):
         self.diagram = diagram
         self._t = {m: c for m, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def _raw(diagram: DynkinDiagram, terms: Dict[Monomial, IntLaurent]) -> "Character":
+        """A character on terms, which holds no zero coefficient; unchecked, not copied."""
+        chi = object.__new__(Character)
+        chi.diagram = diagram
+        chi._t = terms
+        return chi
 
     @staticmethod
     def unit(d: DynkinDiagram) -> "Character":
@@ -518,6 +537,22 @@ class DrinfeldData:
     def __init__(self, roots: Iterable[Tuple[int, Spectral]] = ()):
         fs = (FundamentalSpec(*r) for r in roots)
         self.roots = tuple(sorted(fs, key=lambda f: (f.spectral.base, f.spectral.qexp, f.node)))
+
+    def classes(self, d: DynkinDiagram) -> List["DrinfeldData"]:
+        """The roots split by interaction class, each class in the admissible
+        order, the classes in the order of their first roots.
+
+        The class of Y(i, bq^k) is (b, (k + c(i)) mod 2) for the bipartite
+        coloring c of d.  A root monomial A(j, bq^s) touches one class only,
+        so every term of a fundamental character lies in its top's class, and
+        the twist pairs variables of one class only.  A standard character is
+        therefore the plain product of its classes' standard characters.
+        """
+        c = bipartite_coloring(d)
+        out: Dict[Tuple[str, int], List[FundamentalSpec]] = {}
+        for f in self.roots:
+            out.setdefault((f.spectral.base, (f.spectral.qexp + c[f.node]) % 2), []).append(f)
+        return [DrinfeldData(fs) for fs in out.values()]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DrinfeldData):

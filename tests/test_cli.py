@@ -168,6 +168,19 @@ def test_restrict_command():
     assert text.splitlines()[-1] == "total 28"
 
 
+def test_argparse_refusals_are_one_stderr_line(capsys):
+    cases = (
+        (["--diagram", "A:2", "standard", "--factors", "-1:a:0"],
+         "argument --factors: expected one argument"),
+        (["standard", "--factors", "1:a:0"], "the following arguments are required: --diagram"),
+    )
+    for argv, message in cases:
+        assert run(argv) == (2, "")
+        captured = capsys.readouterr()
+        assert captured.err == f"qtchar: error: {message}\n"
+        assert captured.out == ""
+
+
 def test_usage_errors_exit_two():
     code, text = run(["--diagram", "A:2", "standard", "--factors", "1:a:zz"])
     assert code == 2 and "factor 1" in text

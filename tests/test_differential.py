@@ -1,6 +1,7 @@
 """The engine against itself and against the tableaux sums on generated
 factor lists: standard_character, the left fold of twisted_product over the
-admissibly ordered roots, and standard_char_tableaux must agree.  The drop
+admissibly ordered roots, and standard_char_tableaux must agree, and so must
+the plain product of the interaction classes' characters.  The drop
 profiles the closure carries must be the solved ones."""
 
 from math import comb, prod
@@ -17,8 +18,10 @@ from qtchar.engine import (
 from qtchar.laurent import IntLaurent
 from qtchar.rootdata import DynkinDiagram
 from qtchar.yalgebra import (
+    Character,
     DrinfeldData,
     FundamentalSpec,
+    Monomial,
     Spectral,
     drop_degree,
     specialize_t,
@@ -67,19 +70,73 @@ def test_pool_sizes_are_the_fundamental_dimensions():
             assert sum(specialize_t(chi, 1).values()) == pool_size(d, i)
 
 
-@settings(max_examples=50, deadline=None)
-@given(factor_lists())
-def test_standard_character_is_the_twisted_fold_and_the_tableaux_sum(case):
-    d, p = case
-    chi = standard_character(d, p)
+def twisted_fold(d: DynkinDiagram, p: DrinfeldData) -> Character:
+    """The left fold of the certified twisted_product over p's ordered roots."""
     first = p.roots[0]
     fold, mp = fundamental_character(d, first), first.top
     for f in p.roots[1:]:
         fold = twisted_product(fold, mp, fundamental_character(d, f), f.top, d)
         mp = mp * f.top
-    assert chi == fold
+    return fold
+
+
+def plain_product(d: DynkinDiagram, chis) -> Character:
+    """The product of characters with no twist, through IntLaurent arithmetic."""
+    terms = {Monomial.one(): IntLaurent.one()}
+    for chi in chis:
+        out = {}
+        for m1, c1 in terms.items():
+            for m2, c2 in chi.items():
+                out[m1 * m2] = out.get(m1 * m2, IntLaurent.zero()) + c1 * c2
+        terms = out
+    return Character(d, terms)
+
+
+def assert_zero_free(chi: Character) -> None:
+    """No stored coefficient is zero, and none stores a zero entry."""
+    for m, c in chi._t.items():
+        assert c and 0 not in c._c.values(), m
+
+
+@settings(max_examples=50, deadline=None)
+@given(factor_lists())
+def test_standard_character_is_the_twisted_fold_and_the_tableaux_sum(case):
+    d, p = case
+    chi = standard_character(d, p)
+    assert chi == twisted_fold(d, p)
     tableaux = tableaux_a if d.kind == "A" else tableaux_d
     assert chi == tableaux.standard_char_tableaux(d, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_lists().filter(lambda case: len(case[1].classes(case[0])) >= 2))
+def test_a_standard_character_is_the_plain_product_of_its_classes(case):
+    d, p = case
+    classes = p.classes(d)
+    assert sorted(f for cls in classes for f in cls.roots) == sorted(p.roots)
+    parts = [standard_character(d, cls) for cls in classes]
+    split = plain_product(d, parts)
+    chi = standard_character(d, p)
+    fold = twisted_fold(d, p)
+    tableaux = (tableaux_a if d.kind == "A" else tableaux_d).standard_char_tableaux(d, p)
+    assert split == chi == fold == tableaux
+    for out in parts + [chi, fold, tableaux]:
+        assert_zero_free(out)
+
+
+def test_a_cancelling_signed_product_stores_no_zero():
+    # (top + low) times (top - t^2 low) on A1: the two cross terms cancel
+    # exactly in this order, and only partly in the other
+    d = DynkinDiagram.type_a(1)
+    top, low = Monomial.y(1, Spectral("a", 0)), Monomial.y(1, Spectral("a", 2), -1)
+    plus = Character(d, {top: IntLaurent.one(), low: IntLaurent.one()})
+    minus = Character(d, {top: IntLaurent.one(), low: IntLaurent({2: -1})})
+    cancelled = twisted_product(plus, top, minus, top, d)
+    assert cancelled == Character(d, {top**2: IntLaurent.one(), low**2: IntLaurent({2: -1})})
+    partial = twisted_product(minus, top, plus, top, d)
+    assert partial.coeff(top * low) == IntLaurent({0: 1, 4: -1})
+    for out in (cancelled, partial):
+        assert_zero_free(out)
 
 
 PROFILE_DIAGRAMS = tuple(DynkinDiagram.type_a(n) for n in range(2, 6)) + tuple(

@@ -3,6 +3,7 @@ from itertools import product
 from typing import Dict, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtchar.engine import FundamentalSpec, fundamental_character, standard_character
 from qtchar.errors import OutOfRangeError
@@ -68,10 +69,6 @@ def test_column_monomials():
 def test_column_lookup_and_support():
     col = AColumn([1, 3], q(0))
     assert [col.entry_at(k) for k in (2, 1, 0, -1, -2, -3)] == [None, 1, None, 3, None, None]
-    assert col.value_at(q(1)) == 1
-    assert col.value_at(q(-1)) == 3
-    assert col.value_at(q(0)) == 0
-    assert col.value_at(Spectral("b", 1)) == 0
 
 
 def test_tableau_monomials():
@@ -138,6 +135,27 @@ def test_s_offset():
     assert s_offset(AColumn([1], q(0)), AColumn([1], q(-2))) == 1
     assert s_offset(AColumn([1], q(0)), AColumn([1], Spectral("b", 0))) is None
     assert s_offset(AColumn([1], q(0)), AColumn([1], q(1))) is None
+
+
+@st.composite
+def column_pools(draw):
+    """A strict column of A2-A6 at q^0 and every strict column of a drawn
+    length at q^-5..q^5 from it, on the same base or on another."""
+    d = DynkinDiagram.type_a(draw(st.integers(2, 6)))
+    N = draw(st.integers(1, d.rank))
+    letters = draw(st.sets(st.integers(1, d.rank + 1), min_size=N, max_size=N))
+    ca = AColumn(sorted(letters), q(0))
+    b = Spectral(draw(st.sampled_from("ab")), draw(st.integers(-5, 5)))
+    return d, ca, enumerate_fundamental_columns(d.rank, draw(st.integers(1, d.rank)), b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_pools())
+def test_d_columns_is_the_pairing_on_drawn_pairs(case):
+    d, ca, pool = case
+    for cb in pool:
+        assert d_columns(ca, cb) == d_columns_via_pairing(d, ca, cb)
+        assert d_columns(cb, ca) == d_columns_via_pairing(d, cb, ca)
 
 
 def test_d_columns_examples():

@@ -83,7 +83,8 @@ def test_monomial_products_add_their_hashes(a, b, k):
     ea = {(n, Spectral(base, s)): e for (n, base, s), e in a.items()}
     eb = {(n, Spectral(base, s)): e for (n, base, s), e in b.items()}
     ma, mb = Monomial(ea), Monomial(eb)
-    assert hash(ma) == sum(e * hash(key) for key, e in ea.items()) % (2**61 - 1)
+    mixed = {key: hash(key) ** 2 + hash(key) for key in ea}
+    assert hash(ma) == sum(e * mixed[key] for key, e in ea.items()) % (2**61 - 1)
     merged = dict(ea)
     for key, e in eb.items():
         merged[key] = merged.get(key, 0) + e
@@ -96,6 +97,35 @@ def test_monomial_products_add_their_hashes(a, b, k):
         assert 0 not in got._e.values()
     for unit in (ma * ma.inv(), ma * mb * ma.inv() * mb.inv(), mb**0):
         assert unit == Monomial.one() and hash(unit) == 0 and unit._e == {}
+
+
+def test_monomial_hashes_separate_shifted_families():
+    # plain sums of tuple hashes gave these 2780-3372 and 31-32 distinct hashes
+    a = lambda k: Spectral("a", k)
+    # the terms of the A1 standard character at 1:a:0, 1:a:4, ..., 1:a:44
+    terms = [Monomial.one()]
+    for k in range(0, 45, 4):
+        terms = [m * x for m in terms for x in (Monomial.y(1, a(k)), Monomial.y(1, a(k + 2), -1))]
+    assert len(set(terms)) == len({hash(m) for m in terms}) == 4096
+    trades = [Monomial({(1, a(k)): 1, (2, a(k + 1)): -1}) for k in range(5000)]
+    assert len({hash(m) for m in trades}) == 5000
+
+
+def test_drinfeld_classes_split_by_base_and_parity():
+    a4, d5 = DynkinDiagram.type_a(4), DynkinDiagram.type_d(5)
+    p = DrinfeldData([(2, q(0)), (1, Spectral("b", 0)), (1, q(0)), (2, q(0)), (3, q(2))])
+    assert [cls.roots for cls in p.classes(a4)] == [
+        ((1, q(0)), (3, q(2))),
+        ((2, q(0)), (2, q(0))),
+        ((1, Spectral("b", 0)),),
+    ]
+    # node 5 (spin+) has the color of node 4, unlike nodes 1 and 3
+    p = DrinfeldData([(1, q(0)), (2, q(1)), (5, q(2)), (3, q(2))])
+    assert [cls.roots for cls in p.classes(d5)] == [
+        ((1, q(0)), (2, q(1)), (3, q(2))),
+        ((5, q(2)),),
+    ]
+    assert DrinfeldData().classes(a4) == []
 
 
 def test_monomial_canonical_order_and_unit():
