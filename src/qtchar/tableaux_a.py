@@ -258,21 +258,14 @@ def _tableaux_sum(
     the ordered column pair (xs[j], ys[k]).  Twists vanish across interaction
     classes (DrinfeldData.classes), so each class is walked on its own, with
     one table per pool pair alpha < beta, and the classes' sums multiply with
-    no twist.  Equal factors share a pool, and equal factor pairs a table.
+    no twist.
     """
     pool = dict(zip(factors, pools))
-    tables: Dict[Tuple[FundamentalSpec, FundamentalSpec], List[List[int]]] = {}
     out: Optional[Raw] = None
     for cls in DrinfeldData(factors).classes(d):
-        fs = cls.roots
-        for b, fb in enumerate(fs):
-            for fa in fs[:b]:
-                if (fa, fb) not in tables:
-                    tables[fa, fb] = twist_table(pool[fa], pool[fb])
-        terms = _walk(
-            [pool[f] for f in fs],
-            [[(a, tables[fa, fb]) for a, fa in enumerate(fs[:b])] for b, fb in enumerate(fs)],
-        )
+        ps = [pool[f] for f in cls.roots]
+        tables = [[(a, twist_table(ps[a], ps[b])) for a in range(b)] for b in range(len(ps))]
+        terms = _walk(ps, tables)
         out = terms if out is None else _times(out, terms)
     return Character.unit(d) if out is None else _character(d, out)
 

@@ -9,7 +9,6 @@ Characters map monomials to integer Laurent polynomials in t.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -51,24 +50,16 @@ def _var_key(item):
 _HASH_MOD = (1 << 61) - 1
 
 
-@lru_cache(maxsize=4096)
-def _var_hash(k: Tuple[int, Spectral]) -> int:
-    """A variable's share of a monomial hash: hash(k) through a nonlinear mix.
-
-    Tuple hashes are close to linear in their fields, so plain sums of them
-    collide on monomials that trade one shifted variable for another.  Cached,
-    so a construction pays the mix once per recent variable."""
-    h = hash(k)
-    return (h * h + h) % _HASH_MOD
-
-
 class Monomial:
     """Product of Y(i, a)^e factors; the empty product is the unit.
 
     Immutable and hashable; equality and hashing read the unordered exponent
-    map.  The hash is additive, sum of e * _var_hash((node, a)) modulo _HASH_MOD,
-    so a product's hash is the sum of its factors' and no product re-hashes;
-    equality still compares the maps, so a collision cannot merge monomials.
+    map.  The hash is additive, sum of e * (h * h + h) with h = hash((node, a))
+    modulo _HASH_MOD, so a product's hash is the sum of its factors' and no
+    product re-hashes.  The square mixes each variable's hash: tuple hashes
+    are close to linear in their fields, and plain sums of them collide on
+    monomials that trade one shifted variable for another.  Equality still
+    compares the maps, so a collision cannot merge monomials.
     The canonical variable order (base, qexp, node), used for deterministic
     iteration and serialization, is built on first use and cached.
     """
@@ -76,10 +67,16 @@ class Monomial:
     __slots__ = ("_e", "_key", "_hash")
 
     def __init__(self, exps: Dict[Tuple[int, Spectral], int] | None = None):
-        e = {k: v for k, v in (exps or {}).items() if v != 0}
+        e = {}
+        h = 0
+        for k, v in (exps or {}).items():
+            if v:
+                e[k] = v
+                x = hash(k)
+                h += v * (x * x + x)
         self._e = e
         self._key = None
-        self._hash = sum(map(mul, e.values(), map(_var_hash, e))) % _HASH_MOD
+        self._hash = h % _HASH_MOD
 
     @staticmethod
     def _raw(e: Dict[Tuple[int, Spectral], int], h: int) -> "Monomial":
