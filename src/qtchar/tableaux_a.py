@@ -169,7 +169,8 @@ def d_columns(ca: AColumn, cb: AColumn) -> int:
 
 def _pinched(xa: Tuple[int, ...], xb: Tuple[int, ...], s: int) -> int:
     """d_columns on the entries of two columns at the row offset s: row p of
-    cb sits beside row p + s of ca, and ca's row N + 1 beside cb's N + 1 - s."""
+    cb sits beside row p + s of ca, so the row one below ca's bottom (row
+    len(xa) + 1) sits beside cb's row len(xa) + 1 - s."""
     na = len(xa)
     total = 0
     # only rows beside ca can be pinched: ca reads 0 off its rows
