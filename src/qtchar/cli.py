@@ -21,7 +21,7 @@ from .engine import (
     gamma_graph,
     standard_character,
 )
-from .errors import QtcharError
+from .errors import CapExceededError, QtcharError
 from .rootdata import DynkinDiagram
 from .yalgebra import (
     Character,
@@ -332,7 +332,7 @@ def run(argv: List[str]) -> Tuple[int, str]:
         d = parse_diagram(args.diagram)
         factors = parse_factors(d, args.factors) if args.factors else []
         return COMMANDS[args.command](d, factors, args)
-    except UsageError as exc:
+    except (UsageError, CapExceededError) as exc:
         return 2, f"error: {exc}"
     except QtcharError as exc:
         return 1, f"error: {exc}"
@@ -341,7 +341,8 @@ def run(argv: List[str]) -> Tuple[int, str]:
 def main() -> None:
     code, text = run(sys.argv[1:])
     if text:
-        print(text)
+        # a usage error (exit 2) is one line on stderr, as argparse's are
+        print(text, file=sys.stderr if code == 2 else sys.stdout)
     raise SystemExit(code)
 
 

@@ -10,15 +10,13 @@ under the lowering operators realizes the highest-weight crystal.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import CapExceededError, NotInParitySetError, NotLDominantError, QtcharError
+from .errors import CapExceededError, NotInParitySetError, NotLDominantError, QtcharError, env_cap
 from .rootdata import DynkinDiagram, bipartite_coloring, simple_root
 from .yalgebra import Monomial, Spectral, a_monomial
 
-DEFAULT_VERTEX_CAP = 10**6
 _FLAT = (0, 0, None, None)  # (eps, phi, p_index, q_index) at a node absent from m
 
 
@@ -160,20 +158,6 @@ class CrystalGraph:
         return "\n".join(lines)
 
 
-def _env_vertex_cap() -> int:
-    """The vertex cap from QCHAR_MAX_VERTICES, DEFAULT_VERTEX_CAP when unset."""
-    text = os.environ.get("QCHAR_MAX_VERTICES")
-    if text is None:
-        return DEFAULT_VERTEX_CAP
-    try:
-        cap = int(text)
-        if cap >= 1:
-            return cap
-    except ValueError:
-        pass
-    raise QtcharError(f"QCHAR_MAX_VERTICES must be a positive integer, got {text!r}")
-
-
 def generate_crystal(
     d: DynkinDiagram,
     m0: Monomial,
@@ -188,7 +172,7 @@ def generate_crystal(
     elif not in_parity_set(d, m0, coloring):
         raise NotInParitySetError(f"{m0} violates the given coloring")
     if cap is None:
-        cap = _env_vertex_cap()
+        cap = env_cap("QCHAR_MAX_VERTICES")
     down = lru_cache(None)(lambda i, a: a_monomial(d, i, a).inv())
     seen = {m0: m0}
     queue = [m0]

@@ -11,13 +11,17 @@ the classes multiply with no twist.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from itertools import islice
+from math import prod
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (
+    CapExceededError,
     InconsistentCharacterError,
     LDominantEncounteredError,
     NotComparableError,
     QtcharError,
+    env_cap,
 )
 from .laurent import ONE, IntLaurent
 from .rootdata import DynkinDiagram
@@ -39,7 +43,7 @@ from .yalgebra import (
 
 
 def fundamental_character(
-    d: DynkinDiagram, f: FundamentalSpec, max_rounds: int = 100000
+    d: DynkinDiagram, f: FundamentalSpec, max_rounds: int = 100000, cap: Optional[int] = None
 ) -> Character:
     """Character of a single-factor module, determined by its axioms.
 
@@ -47,19 +51,22 @@ def fundamental_character(
     coefficients, and LDominantEncounteredError if a dominant monomial other
     than the top appears, since induction then underdetermines the result.
     Either refusal names the first offending monomial in Monomial.sort_key
-    order among those of the round that fails.
+    order among those of the round that fails.  Raises CapExceededError once
+    the closure has filed more than cap monomials (QCHAR_MAX_TERMS when None).
     """
-    final, _ = _closure(d, f.top, max_rounds)
-    return Character(d, {m: IntLaurent(c) for m, c in final.items()})
+    final, _ = _closure(d, f.top, max_rounds, cap)
+    return _wrap(d, final)
 
 
-def _fundamental_terms(d: DynkinDiagram, f: FundamentalSpec) -> List[Term]:
+def _fundamental_terms(
+    d: DynkinDiagram, f: FundamentalSpec, cap: Optional[int] = None
+) -> List[Term]:
     """fundamental_character's terms with their drop profiles below f.top.
 
     Each profile is carried, not solved: it is the profile of the head whose
     block first reached the term, plus that block term's drops.
     """
-    final, origin = _closure(d, f.top)
+    final, origin = _closure(d, f.top, cap=cap)
     profiles: Dict[Monomial, Profile] = {f.top: {}}
     terms = []
     # final holds each head before every monomial its blocks reached
@@ -73,16 +80,20 @@ def _fundamental_terms(d: DynkinDiagram, f: FundamentalSpec) -> List[Term]:
 
 
 def _closure(
-    d: DynkinDiagram, top: Monomial, max_rounds: int = 100000
-) -> Tuple[Dict[Monomial, Dict[int, int]], Dict[Monomial, tuple]]:
+    d: DynkinDiagram, top: Monomial, max_rounds: int = 100000, cap: Optional[int] = None
+) -> Tuple[Raw, Dict[Monomial, tuple]]:
     """The closure below top: its raw {monomial: {texp: coeff}} terms, each
     filed after the head that reached it, and each emitted monomial's origin
-    (head, drops), read from the block term that first reached it."""
+    (head, drops), read from the block term that first reached it.  More than
+    cap filed monomials (QCHAR_MAX_TERMS when None), counted once per round,
+    raise CapExceededError."""
     if isinstance(max_rounds, bool) or not isinstance(max_rounds, int) or max_rounds < 1:
         raise QtcharError(f"max_rounds must be a positive integer, got {max_rounds!r}")
+    if cap is None:
+        cap = env_cap("QCHAR_MAX_TERMS")
     # final and pending hold raw {texp: coeff} maps; pending[i] accumulates
     # every emitted rank-one block in direction i, updated in place
-    final: Dict[Monomial, Dict[int, int]] = {top: {0: 1}}
+    final: Raw = {top: {0: 1}}
     pending: List[Dict[Monomial, Dict[int, int]]] = [dict() for _ in range(d.rank + 1)]
     # tables[i] holds direction i's rank-one factors for this call
     tables: List[dict] = [dict() for _ in range(d.rank + 1)]
@@ -95,8 +106,11 @@ def _closure(
     origin: Dict[Monomial, tuple] = {top: (top, ())}
 
     def emit(i: int, head: Monomial, c: Dict[int, int], deg: int) -> None:
+        # the block's first term is the flushed head itself, and nothing reads
+        # pending at a flushed head again: every later write there would come
+        # from a head of lower degree, flushed earlier.  So it is not filed
         dest = pending[i]
-        for m, cc, drops in _block(d, head, i, tables[i], c):
+        for m, cc, drops in islice(_block(d, head, i, tables[i], c), 1, None):
             acc = dest.get(m)
             if acc is None:
                 dest[m] = cc
@@ -144,6 +158,8 @@ def _closure(
 
     flush_level([top], 0)
     for deg in range(1, max_rounds + 1):
+        if len(origin) > cap:
+            raise CapExceededError(f"closure exceeded {cap} monomials")
         if all(k < deg for k in buckets):
             return final, origin
         # a cancelled entry may linger in a bucket; its predictions are all zero.
@@ -194,6 +210,8 @@ def order_factors(fs: Iterable[FundamentalSpec]) -> List[FundamentalSpec]:
     return list(DrinfeldData(fs).roots)
 
 
+# Raw terms {monomial: {texp: coeff}}
+Raw = Dict[Monomial, Dict[int, int]]
 # A fold input term: (monomial, raw {texp: coeff}, drop profile below its top)
 Term = Tuple[Monomial, Dict[int, int], Profile]
 # A folded term: raw coefficient and two down-shifted drop profiles (see
@@ -237,17 +255,35 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
     two factors and can be folded again without v_profile.
     """
     # the half of the twist that depends on m2 alone, once per m2
-    rows = [(m2, c2, _twist_exponent({}, m2, mp1, v2), _shift_down(v2)) for m2, c2, v2 in right]
+    rows = [
+        (m2._e, m2._hash, c2, _single(c2), _twist_exponent({}, m2, mp1, v2), _shift_down(v2))
+        for m2, c2, v2 in right
+    ]
     out: Folded = {}
     for m1, (c1, drops) in left.items():
         down1 = _summed(drops)
-        for m2, c2, tw2, down2 in rows:
-            tw = 2 * (tw2 + _twist_exponent(down1, m2, mp1, {}))
-            key = m1 * m2
+        x1, h1, one1 = m1._e, m1._hash, _single(c1)
+        for x2, h2, c2, one2, tw, down2 in rows:
+            # m1 * m2 merged in the same walk over m2 that adds the other
+            # half of the twist, _twist_exponent(down1, m2, mp1, {})
+            x = x1.copy()
+            for k, u in x2.items():
+                tw += down1.get(k, 0) * u
+                u += x.get(k, 0)
+                if u:
+                    x[k] = u
+                else:
+                    del x[k]
+            tw *= 2
+            key = Monomial._raw(x, (h1 + h2) % _HASH_MOD)
             entry = out.get(key)
             if entry is None:
                 entry = out[key] = ({}, (down1, down2))
             acc = entry[0]
+            if one1 and one2:
+                e = one1[0] + one2[0] + tw
+                acc[e] = acc.get(e, 0) + one1[1] * one2[1]
+                continue
             for e1, v1 in c1.items():
                 for e2, v2 in c2.items():
                     e = e1 + e2 + tw
@@ -255,35 +291,51 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
     return out
 
 
-def _times(left: Folded, right: Folded) -> Folded:
-    """The plain product of folded terms of different interaction classes.
+def _single(c: Dict[int, int]) -> Optional[Tuple[int, int]]:
+    """The one (texp, coeff) pair of a single-term c, None otherwise."""
+    return next(iter(c.items())) if len(c) == 1 else None
 
-    The twist between classes is zero, so the coefficients only multiply;
-    each product term carries its two factors' drops, as _fold's terms do.
+
+def _times(left: Raw, right: Raw) -> Raw:
+    """The plain product of the raw terms of different interaction classes.
+
+    The twist between classes is zero, so the coefficients only multiply.
+    The classes touch disjoint variables, so each pair of terms gives its own
+    monomial, on the union of the two exponent maps, and nothing merges.
     """
-    rows = [(m2, c2.items(), _summed(p2)) for m2, (c2, p2) in right.items()]
-    out: Folded = {}
-    for m1, (c1, p1) in left.items():
-        c1, down1 = c1.items(), _summed(p1)
-        for m2, c2, down2 in rows:
-            key = m1 * m2
-            entry = out.get(key)
-            if entry is None:
-                entry = out[key] = ({}, (down1, down2))
-            acc = entry[0]
+    rows = [(m2._e, m2._hash, c2.items()) for m2, c2 in right.items()]
+    out: Raw = {}
+    for m1, c1 in left.items():
+        x1, h1, c1 = m1._e, m1._hash, c1.items()
+        for x2, h2, c2 in rows:
+            acc: Dict[int, int] = {}
             for e1, v1 in c1:
                 for e2, v2 in c2:
                     acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
+            out[Monomial._raw({**x1, **x2}, (h1 + h2) % _HASH_MOD)] = acc
     return out
 
 
-def _character(d: DynkinDiagram, terms: Folded) -> Character:
-    """The folded terms as a Character; empties terms to free each raw map early."""
+def _wrap(d: DynkinDiagram, terms: Raw) -> Character:
+    """The raw terms as a Character, built once and unchecked; a map that
+    holds a zero (signed inputs can cancel) is filtered first."""
     out = {}
-    while terms:
-        m, (c, _) = terms.popitem()
-        out[m] = IntLaurent(c)
-    return Character(d, out)
+    for m, c in terms.items():
+        if 0 in c.values():
+            c = {e: v for e, v in c.items() if v}
+        if c:
+            out[m] = IntLaurent._raw(c)
+    return Character._raw(d, out)
+
+
+def _raw(terms: Folded) -> Raw:
+    """The folded terms' raw coefficients, without their drop profiles."""
+    return {m: c for m, (c, _) in terms.items()}
+
+
+def _character(d: DynkinDiagram, terms: Folded) -> Character:
+    """The folded terms as a Character."""
+    return _wrap(d, _raw(terms))
 
 
 def twisted_product(
@@ -295,29 +347,40 @@ def twisted_product(
     return _character(d, _fold(_fold(_unit(), left, Monomial.one()), right, mp1))
 
 
-def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
+def standard_character(
+    d: DynkinDiagram, p: DrinfeldData, cap: Optional[int] = None
+) -> Character:
     """Left-fold of twisted products over each interaction class's admissibly
     ordered factors, starting from the unit; the classes' folds multiply
     with no twist (see DrinfeldData.classes).
 
     Each distinct fundamental is computed once, and its terms keep the drop
     profiles its closure carried; the running product carries its terms'
-    drops too, so no term is ever solved with v_profile.
+    drops too, so no term is ever solved with v_profile.  A finished class
+    keeps only its raw terms.  Raises CapExceededError when a closure, or the
+    product of the factors' term counts, exceeds cap (QCHAR_MAX_TERMS when
+    None), the latter before any product is formed.
     """
+    if cap is None:
+        cap = env_cap("QCHAR_MAX_TERMS")
     if len(p.roots) == 1:
-        return fundamental_character(d, p.roots[0])
+        return fundamental_character(d, p.roots[0], cap=cap)
     terms: Dict[FundamentalSpec, List[Term]] = {}
     for f in p.roots:
         if f not in terms:
-            terms[f] = _fundamental_terms(d, f)
+            terms[f] = _fundamental_terms(d, f, cap)
+    size = prod(len(terms[f]) for f in p.roots)
+    if size > cap:
+        raise CapExceededError(f"product of {len(p.roots)} factors exceeded {cap} terms: {size}")
     out = None
     for cls in p.classes(d):
         chi, mp = _unit(), Monomial.one()
         for f in cls.roots:
             chi = _fold(chi, terms[f], mp)
             mp = mp * f.top
-        out = chi if out is None else _times(out, chi)
-    return _character(d, out)
+        raw = _raw(chi)
+        out = raw if out is None else _times(out, raw)
+    return Character.unit(d) if out is None else _wrap(d, out)
 
 
 def rescaled_tilde(d: DynkinDiagram, chi: Character, mp: Monomial) -> Character:

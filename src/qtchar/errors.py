@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one parser of the
+size caps' environment overrides."""
+
+import os
+
+# The default of every size cap: far above any test or benchmark case
+DEFAULT_CAP = 10**6
 
 
 class QtcharError(Exception):
@@ -39,6 +45,21 @@ class NotInParitySetError(QtcharError):
 
 class CapExceededError(QtcharError):
     """An enumeration exceeded its configured size cap."""
+
+
+def env_cap(name: str) -> int:
+    """The size cap read from the environment variable name, DEFAULT_CAP when
+    unset; anything but a positive integer is refused."""
+    text = os.environ.get(name)
+    if text is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(text)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise QtcharError(f"{name} must be a positive integer, got {text!r}")
 
 
 class InconsistentCharacterError(QtcharError):

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, repeat
+from math import prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import OutOfRangeError
+from .errors import CapExceededError, OutOfRangeError, env_cap
 from .laurent import IntLaurent
 from .rootdata import DynkinDiagram
 from .yalgebra import Character, DrinfeldData, FundamentalSpec, Monomial, Spectral
@@ -259,8 +260,15 @@ def _tableaux_sum(
     the ordered column pair (xs[j], ys[k]).  Twists vanish across interaction
     classes (DrinfeldData.classes), so each class is walked on its own, with
     one table per pool pair alpha < beta, and the classes' sums multiply with
-    no twist.
+    no twist.  Raises CapExceededError, before any walk, when the product of
+    the pool lengths exceeds QCHAR_MAX_TERMS.
     """
+    cap = env_cap("QCHAR_MAX_TERMS")
+    size = prod(len(ps) for ps in pools)
+    if size > cap:
+        raise CapExceededError(
+            f"tableaux product of {len(pools)} factors exceeded {cap} terms: {size}"
+        )
     pool = dict(zip(factors, pools))
     out: Optional[Raw] = None
     for cls in DrinfeldData(factors).classes(d):

@@ -384,14 +384,16 @@ def _rank_one_factor(
 ) -> List[Tuple[Monomial, Dict[int, int], Tuple]]:
     """The block factor sum_r t^(r(u-r)) [u,r]_t A(i,aq)^-r for u = u(i,a) > 0,
     as (A(i,aq)^-r, raw {texp: coeff}, drops) triples for r = 0..u, where
-    drops is ((i, aq), r) as a one-pair tuple, empty for r = 0."""
+    drops is ((i, aq), r) as a one-pair tuple, empty for r = 0.  A unit
+    coefficient {0: 1} (every r = 0 and r = u term) is flagged as None."""
     aq = a.shift(1)
     am = a_monomial(d, i, aq).inv()
     factor = []
     step = Monomial.one()
     for r in range(u + 1):
         drops = (((i, aq), r),) if r else ()
-        factor.append((step, t_binomial(u, r).shifted(r * (u - r))._c, drops))
+        c = t_binomial(u, r).shifted(r * (u - r))._c
+        factor.append((step, None if c == {0: 1} else c, drops))
         step = step * am
     return factor
 
@@ -402,10 +404,11 @@ def _block(
     """The rank-one block of the i-dominant m in direction i, scaled by the raw
     coefficient c, as fresh (monomial, raw {texp: coeff}, drops) triples.
 
-    A term's drops are the pairs ((i, aq), r) with term = m * prod A(i,aq)^-r.
-    Each factor is read from table, keyed by (spectral, u) for direction i and
-    filled on a miss.  The factors' root monomials are independent, so every
-    product of terms is a distinct monomial and nothing merges.
+    A term's drops are the pairs ((i, aq), r) with term = m * prod A(i,aq)^-r;
+    the first term is m itself, every r = 0.  Each factor is read from table,
+    keyed by (spectral, u) for direction i and filled on a miss.  The factors'
+    root monomials are independent, so every product of terms is a distinct
+    monomial and nothing merges.
     """
     block = [(m, dict(c), ())]
     for (node, a), u in m._e.items():
@@ -417,6 +420,9 @@ def _block(
         terms = []
         for m1, c1, v1 in block:
             for step, c2, v2 in factor:
+                if c2 is None:  # a unit coefficient: copy, do not convolve
+                    terms.append((m1 * step, c1.copy(), v1 + v2))
+                    continue
                 acc: Dict[int, int] = {}
                 for e1, w1 in c1.items():
                     for e2, w2 in c2.items():

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtchar.cli import UsageError, parse_diagram, parse_factors, run
+from qtchar.cli import UsageError, main, parse_diagram, parse_factors, run
 from qtchar.yalgebra import character_from_json, character_to_json
 from qtchar.rootdata import DynkinDiagram
 
@@ -178,6 +179,24 @@ def test_argparse_refusals_are_one_stderr_line(capsys):
         assert run(argv) == (2, "")
         captured = capsys.readouterr()
         assert captured.err == f"qtchar: error: {message}\n"
+        assert captured.out == ""
+
+
+def test_capped_commands_exit_two_with_one_stderr_line(capsys, monkeypatch):
+    cases = (
+        ("100000", ["--diagram", "A:2", "standard", "--factors", ",".join(["1:a:0"] * 12)],
+         "error: product of 12 factors exceeded 100000 terms: 531441"),
+        ("100", ["--diagram", "D:7", "fundamental", "--factors", "4:a:0"],
+         "error: closure exceeded 100 monomials"),
+    )
+    for cap, argv, message in cases:
+        monkeypatch.setenv("QCHAR_MAX_TERMS", cap)
+        monkeypatch.setattr(sys, "argv", ["qtchar"] + argv)
+        with pytest.raises(SystemExit) as exit:
+            main()
+        assert exit.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
         assert captured.out == ""
 
 

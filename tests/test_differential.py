@@ -1,8 +1,9 @@
 """The engine against itself and against the tableaux sums on generated
 factor lists: standard_character, the left fold of twisted_product over the
 admissibly ordered roots, and standard_char_tableaux must agree, and so must
-the plain product of the interaction classes' characters.  The drop
-profiles the closure carries must be the solved ones."""
+the plain product of the interaction classes' characters.  The t = 1 totals
+and the classes' support sizes multiply.  The drop profiles the closure
+carries must be the solved ones."""
 
 from math import comb, prod
 
@@ -106,6 +107,8 @@ def test_standard_character_is_the_twisted_fold_and_the_tableaux_sum(case):
     assert chi == twisted_fold(d, p)
     tableaux = tableaux_a if d.kind == "A" else tableaux_d
     assert chi == tableaux.standard_char_tableaux(d, p)
+    # at t = 1 the character is the product of its factors' dimensions
+    assert sum(specialize_t(chi, 1).values()) == prod(pool_size(d, f.node) for f in p.roots)
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,6 +123,9 @@ def test_a_standard_character_is_the_plain_product_of_its_classes(case):
     fold = twisted_fold(d, p)
     tableaux = (tableaux_a if d.kind == "A" else tableaux_d).standard_char_tableaux(d, p)
     assert split == chi == fold == tableaux
+    # the classes touch disjoint variables, so no two products of their
+    # terms share a monomial
+    assert len(chi) == prod(len(part) for part in parts)
     for out in parts + [chi, fold, tableaux]:
         assert_zero_free(out)
 

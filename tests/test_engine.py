@@ -16,6 +16,7 @@ from qtchar.engine import (
     twisted_product,
 )
 from qtchar.errors import (
+    CapExceededError,
     InconsistentCharacterError,
     LDominantEncounteredError,
     NotComparableError,
@@ -132,6 +133,55 @@ def test_fundamental_validates_max_rounds(a2, bad):
     with pytest.raises(QtcharError, match="max_rounds") as info:
         fundamental_character(a2, FundamentalSpec(1, q(0)), max_rounds=bad)
     assert not isinstance(info.value, InconsistentCharacterError)
+
+
+def test_closure_cap(monkeypatch):
+    a3, f = DynkinDiagram.type_a(3), FundamentalSpec(2, q(0))
+    # the closure files 6 monomials, one per term
+    assert len(fundamental_character(a3, f, cap=6)) == 6
+    with pytest.raises(CapExceededError, match="closure exceeded 5 monomials"):
+        fundamental_character(a3, f, cap=5)
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "5")
+    with pytest.raises(CapExceededError, match="closure exceeded 5 monomials"):
+        fundamental_character(a3, f)
+    with pytest.raises(CapExceededError, match="closure exceeded 5 monomials"):
+        standard_character(a3, DrinfeldData([(2, q(0)), (1, q(7))]))
+    assert len(fundamental_character(a3, f, cap=6)) == 6
+
+
+def test_standard_character_cap(a2, monkeypatch):
+    p = DrinfeldData([(1, q(0)), (1, q(0))])
+    assert len(standard_character(a2, p, cap=9)) == 6
+    twelve = DrinfeldData([(1, q(0))] * 12)
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "100000")
+    # the refusal comes after the closures and before the first fold
+    monkeypatch.setattr(engine, "_fold", lambda *args: pytest.fail("folded past the cap"))
+    message = "product of 12 factors exceeded 100000 terms: 531441"
+    with pytest.raises(CapExceededError, match=message):
+        standard_character(a2, twelve)
+    with pytest.raises(CapExceededError, match="exceeded 8 terms: 9"):
+        standard_character(a2, p, cap=8)
+
+
+@pytest.mark.parametrize("bad", ["abc", "-3", "0"])
+def test_term_cap_from_environment_is_a_positive_integer(a2, monkeypatch, bad):
+    monkeypatch.setenv("QCHAR_MAX_TERMS", bad)
+    p = DrinfeldData([(1, q(0)), (2, q(1))])
+    calls = [
+        lambda: fundamental_character(a2, FundamentalSpec(1, q(0))),
+        lambda: standard_character(a2, p),
+        lambda: tableaux_a.standard_char_tableaux(a2, p),
+        lambda: tableaux_d.standard_char_tableaux(DynkinDiagram.type_d(4), p),
+    ]
+    for call in calls:
+        message = f"QCHAR_MAX_TERMS must be a positive integer, got '{bad}'"
+        with pytest.raises(QtcharError, match=message):
+            call()
+
+
+def test_empty_standard_character_is_the_unit(a2):
+    assert standard_character(a2, DrinfeldData()) == Character.unit(a2)
+    assert tableaux_a.standard_char_tableaux(a2, DrinfeldData()) == Character.unit(a2)
 
 
 def test_zcondition():
@@ -279,6 +329,33 @@ def test_product_loops_build_no_monomial_through_init(d5, monkeypatch):
         folded = engine._fold(folded, right, mp)
     assert inits == []
     assert walked == expected and engine._character(d5, folded) == expected
+
+    # a multi-class standard_character on closures computed beforehand: the
+    # class product builds nothing through __init__, and the whole call
+    # builds only its factors' tops
+    p = DrinfeldData(parse_factors(d5, "1:a:0,1:a:2,1:a:1,1:b:0"))
+    assert [len(cls) for cls in p.classes(d5)] == [2, 1, 1]
+    monkeypatch.setattr(Monomial, "__init__", real_init)
+    expected = tableaux_d.standard_char_tableaux(d5, p)
+    closed = {f: engine._fundamental_terms(d5, f) for f in p.roots}
+    top_maps = [f.top._e for f in p.roots]
+    monkeypatch.setattr(engine, "_fundamental_terms", lambda d, f, cap=None: closed[f])
+    real_times, in_times = engine._times, []
+
+    def times(left, right):
+        before = len(inits)
+        out = real_times(left, right)
+        in_times.append(len(inits) - before)
+        return out
+
+    monkeypatch.setattr(engine, "_times", times)
+    monkeypatch.setattr(
+        Monomial, "__init__", lambda self, exps=None: inits.append(exps) or real_init(self, exps)
+    )
+    chi = standard_character(d5, p)
+    assert in_times and set(in_times) == {0}
+    assert all(exps in top_maps for exps in inits)
+    assert chi == expected
 
 
 def test_standard_character_worked_example_one(a2):

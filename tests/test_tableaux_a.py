@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtchar.engine import FundamentalSpec, fundamental_character, standard_character
-from qtchar.errors import OutOfRangeError
+from qtchar import tableaux_a, tableaux_d
+from qtchar.errors import CapExceededError, OutOfRangeError
 from qtchar.laurent import ONE, IntLaurent
 from qtchar.rootdata import DynkinDiagram
 from qtchar.tableaux_a import (
@@ -306,3 +307,22 @@ def test_render_and_json():
     assert "1" in text and "2" in text
     data = tableau_to_json(t)
     assert data[1] == {"entries": [1, 2], "base": "a", "qexp": 1}
+
+
+def test_tableaux_product_cap(monkeypatch):
+    a2, d4 = DynkinDiagram.type_a(2), DynkinDiagram.type_d(4)
+    # pools of 3 and 3 columns (A2 node 1), and of 8 and 8 (D4 node 1)
+    pairs = [
+        (a2, DrinfeldData([(1, q(0)), (1, q(1))]), 9),
+        (d4, DrinfeldData([(1, q(0)), (1, q(1))]), 64),
+    ]
+    for d, p, size in pairs:
+        route = tableaux_a if d.kind == "A" else tableaux_d
+        monkeypatch.setenv("QCHAR_MAX_TERMS", str(size))
+        assert route.standard_char_tableaux(d, p) == standard_character(d, p)
+        monkeypatch.setenv("QCHAR_MAX_TERMS", str(size - 1))
+        with monkeypatch.context() as m:
+            # the refusal comes before any walk
+            m.setattr(tableaux_a, "_walk", lambda *args: pytest.fail("walked past the cap"))
+            with pytest.raises(CapExceededError, match=f"exceeded {size - 1} terms: {size}$"):
+                route.standard_char_tableaux(d, p)
