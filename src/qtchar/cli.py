@@ -332,8 +332,12 @@ def run(argv: List[str]) -> Tuple[int, str]:
         d = parse_diagram(args.diagram)
         factors = parse_factors(d, args.factors) if args.factors else []
         return COMMANDS[args.command](d, factors, args)
-    except (UsageError, CapExceededError) as exc:
+    except UsageError as exc:
         return 2, f"error: {exc}"
+    except CapExceededError as exc:
+        # a size cap is refused as argparse refuses: one stderr line, exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 2, ""
     except QtcharError as exc:
         return 1, f"error: {exc}"
 
@@ -341,8 +345,7 @@ def run(argv: List[str]) -> Tuple[int, str]:
 def main() -> None:
     code, text = run(sys.argv[1:])
     if text:
-        # a usage error (exit 2) is one line on stderr, as argparse's are
-        print(text, file=sys.stderr if code == 2 else sys.stdout)
+        print(text)
     raise SystemExit(code)
 
 

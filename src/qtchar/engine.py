@@ -12,8 +12,7 @@ the classes multiply with no twist.
 from __future__ import annotations
 
 from itertools import islice
-from math import prod
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import (
     CapExceededError,
@@ -43,7 +42,7 @@ from .yalgebra import (
 
 
 def fundamental_character(
-    d: DynkinDiagram, f: FundamentalSpec, max_rounds: int = 100000, cap: Optional[int] = None
+    d: DynkinDiagram, f: FundamentalSpec, max_rounds: int = 100000
 ) -> Character:
     """Character of a single-factor module, determined by its axioms.
 
@@ -52,21 +51,19 @@ def fundamental_character(
     than the top appears, since induction then underdetermines the result.
     Either refusal names the first offending monomial in Monomial.sort_key
     order among those of the round that fails.  Raises CapExceededError once
-    the closure has filed more than cap monomials (QCHAR_MAX_TERMS when None).
+    the closure has filed more than QCHAR_MAX_TERMS monomials.
     """
-    final, _ = _closure(d, f.top, max_rounds, cap)
+    final, _ = _closure(d, f.top, max_rounds)
     return _wrap(d, final)
 
 
-def _fundamental_terms(
-    d: DynkinDiagram, f: FundamentalSpec, cap: Optional[int] = None
-) -> List[Term]:
+def _fundamental_terms(d: DynkinDiagram, f: FundamentalSpec) -> List[Term]:
     """fundamental_character's terms with their drop profiles below f.top.
 
     Each profile is carried, not solved: it is the profile of the head whose
     block first reached the term, plus that block term's drops.
     """
-    final, origin = _closure(d, f.top, cap=cap)
+    final, origin = _closure(d, f.top)
     profiles: Dict[Monomial, Profile] = {f.top: {}}
     terms = []
     # final holds each head before every monomial its blocks reached
@@ -80,17 +77,16 @@ def _fundamental_terms(
 
 
 def _closure(
-    d: DynkinDiagram, top: Monomial, max_rounds: int = 100000, cap: Optional[int] = None
+    d: DynkinDiagram, top: Monomial, max_rounds: int = 100000
 ) -> Tuple[Raw, Dict[Monomial, tuple]]:
     """The closure below top: its raw {monomial: {texp: coeff}} terms, each
     filed after the head that reached it, and each emitted monomial's origin
     (head, drops), read from the block term that first reached it.  More than
-    cap filed monomials (QCHAR_MAX_TERMS when None), counted once per round,
-    raise CapExceededError."""
+    QCHAR_MAX_TERMS filed monomials, counted once per round, raise
+    CapExceededError."""
     if isinstance(max_rounds, bool) or not isinstance(max_rounds, int) or max_rounds < 1:
         raise QtcharError(f"max_rounds must be a positive integer, got {max_rounds!r}")
-    if cap is None:
-        cap = env_cap("QCHAR_MAX_TERMS")
+    cap = env_cap("QCHAR_MAX_TERMS")
     # final and pending hold raw {texp: coeff} maps; pending[i] accumulates
     # every emitted rank-one block in direction i, updated in place
     final: Raw = {top: {0: 1}}
@@ -255,35 +251,17 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
     two factors and can be folded again without v_profile.
     """
     # the half of the twist that depends on m2 alone, once per m2
-    rows = [
-        (m2._e, m2._hash, c2, _single(c2), _twist_exponent({}, m2, mp1, v2), _shift_down(v2))
-        for m2, c2, v2 in right
-    ]
+    rows = [(m2, c2, _twist_exponent({}, m2, mp1, v2), _shift_down(v2)) for m2, c2, v2 in right]
     out: Folded = {}
     for m1, (c1, drops) in left.items():
         down1 = _summed(drops)
-        x1, h1, one1 = m1._e, m1._hash, _single(c1)
-        for x2, h2, c2, one2, tw, down2 in rows:
-            # m1 * m2 merged in the same walk over m2 that adds the other
-            # half of the twist, _twist_exponent(down1, m2, mp1, {})
-            x = x1.copy()
-            for k, u in x2.items():
-                tw += down1.get(k, 0) * u
-                u += x.get(k, 0)
-                if u:
-                    x[k] = u
-                else:
-                    del x[k]
-            tw *= 2
-            key = Monomial._raw(x, (h1 + h2) % _HASH_MOD)
+        for m2, c2, tw2, down2 in rows:
+            tw = 2 * (tw2 + _twist_exponent(down1, m2, mp1, {}))
+            key = m1 * m2
             entry = out.get(key)
             if entry is None:
                 entry = out[key] = ({}, (down1, down2))
             acc = entry[0]
-            if one1 and one2:
-                e = one1[0] + one2[0] + tw
-                acc[e] = acc.get(e, 0) + one1[1] * one2[1]
-                continue
             for e1, v1 in c1.items():
                 for e2, v2 in c2.items():
                     e = e1 + e2 + tw
@@ -291,9 +269,12 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
     return out
 
 
-def _single(c: Dict[int, int]) -> Optional[Tuple[int, int]]:
-    """The one (texp, coeff) pair of a single-term c, None otherwise."""
-    return next(iter(c.items())) if len(c) == 1 else None
+def _check_pairs(left: int, right: int, cap: int) -> None:
+    """Refuse a product step of left x right term pairs over cap before it
+    is formed."""
+    pairs = left * right
+    if pairs > cap:
+        raise CapExceededError(f"product step exceeded {cap} term pairs: {pairs}")
 
 
 def _times(left: Raw, right: Raw) -> Raw:
@@ -347,9 +328,7 @@ def twisted_product(
     return _character(d, _fold(_fold(_unit(), left, Monomial.one()), right, mp1))
 
 
-def standard_character(
-    d: DynkinDiagram, p: DrinfeldData, cap: Optional[int] = None
-) -> Character:
+def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
     """Left-fold of twisted products over each interaction class's admissibly
     ordered factors, starting from the unit; the classes' folds multiply
     with no twist (see DrinfeldData.classes).
@@ -357,29 +336,30 @@ def standard_character(
     Each distinct fundamental is computed once, and its terms keep the drop
     profiles its closure carried; the running product carries its terms'
     drops too, so no term is ever solved with v_profile.  A finished class
-    keeps only its raw terms.  Raises CapExceededError when a closure, or the
-    product of the factors' term counts, exceeds cap (QCHAR_MAX_TERMS when
-    None), the latter before any product is formed.
+    keeps only its raw terms.  Raises CapExceededError when a closure, or a
+    product step's count of term pairs (the work of that step), exceeds
+    QCHAR_MAX_TERMS, the latter before the step is formed.
     """
-    if cap is None:
-        cap = env_cap("QCHAR_MAX_TERMS")
     if len(p.roots) == 1:
-        return fundamental_character(d, p.roots[0], cap=cap)
+        return fundamental_character(d, p.roots[0])
+    cap = env_cap("QCHAR_MAX_TERMS")
     terms: Dict[FundamentalSpec, List[Term]] = {}
     for f in p.roots:
         if f not in terms:
-            terms[f] = _fundamental_terms(d, f, cap)
-    size = prod(len(terms[f]) for f in p.roots)
-    if size > cap:
-        raise CapExceededError(f"product of {len(p.roots)} factors exceeded {cap} terms: {size}")
+            terms[f] = _fundamental_terms(d, f)
     out = None
     for cls in p.classes(d):
         chi, mp = _unit(), Monomial.one()
         for f in cls.roots:
+            _check_pairs(len(chi), len(terms[f]), cap)
             chi = _fold(chi, terms[f], mp)
             mp = mp * f.top
         raw = _raw(chi)
-        out = raw if out is None else _times(out, raw)
+        if out is None:
+            out = raw
+        else:
+            _check_pairs(len(out), len(raw), cap)
+            out = _times(out, raw)
     return Character.unit(d) if out is None else _wrap(d, out)
 
 

@@ -184,8 +184,8 @@ def test_argparse_refusals_are_one_stderr_line(capsys):
 
 def test_capped_commands_exit_two_with_one_stderr_line(capsys, monkeypatch):
     cases = (
-        ("100000", ["--diagram", "A:2", "standard", "--factors", ",".join(["1:a:0"] * 12)],
-         "error: product of 12 factors exceeded 100000 terms: 531441"),
+        ("8", ["--diagram", "A:2", "standard", "--factors", "1:a:0,1:a:0"],
+         "error: product step exceeded 8 term pairs: 9"),
         ("100", ["--diagram", "D:7", "fundamental", "--factors", "4:a:0"],
          "error: closure exceeded 100 monomials"),
     )
@@ -198,6 +198,13 @@ def test_capped_commands_exit_two_with_one_stderr_line(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.err == message + "\n"
         assert captured.out == ""
+    # other usage errors keep their one line on stdout
+    monkeypatch.setattr(sys, "argv", ["qtchar", "--diagram", "A:2", "standard", "--factors", "1:a:zz"])
+    with pytest.raises(SystemExit) as exit:
+        main()
+    assert exit.value.code == 2
+    captured = capsys.readouterr()
+    assert "factor 1" in captured.out and captured.err == ""
 
 
 def test_usage_errors_exit_two():

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qtchar import engine, tableaux_a, tableaux_d, yalgebra
+from qtchar import engine, errors, tableaux_a, tableaux_d, yalgebra
 from qtchar.cli import parse_factors
 from qtchar.engine import (
     FundamentalSpec,
@@ -138,29 +138,38 @@ def test_fundamental_validates_max_rounds(a2, bad):
 def test_closure_cap(monkeypatch):
     a3, f = DynkinDiagram.type_a(3), FundamentalSpec(2, q(0))
     # the closure files 6 monomials, one per term
-    assert len(fundamental_character(a3, f, cap=6)) == 6
-    with pytest.raises(CapExceededError, match="closure exceeded 5 monomials"):
-        fundamental_character(a3, f, cap=5)
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "6")
+    assert len(fundamental_character(a3, f)) == 6
     monkeypatch.setenv("QCHAR_MAX_TERMS", "5")
     with pytest.raises(CapExceededError, match="closure exceeded 5 monomials"):
         fundamental_character(a3, f)
     with pytest.raises(CapExceededError, match="closure exceeded 5 monomials"):
         standard_character(a3, DrinfeldData([(2, q(0)), (1, q(7))]))
-    assert len(fundamental_character(a3, f, cap=6)) == 6
 
 
 def test_standard_character_cap(a2, monkeypatch):
+    # one class: folds of 1 x 3, then 3 x 3 term pairs
     p = DrinfeldData([(1, q(0)), (1, q(0))])
-    assert len(standard_character(a2, p, cap=9)) == 6
-    twelve = DrinfeldData([(1, q(0))] * 12)
-    monkeypatch.setenv("QCHAR_MAX_TERMS", "100000")
-    # the refusal comes after the closures and before the first fold
-    monkeypatch.setattr(engine, "_fold", lambda *args: pytest.fail("folded past the cap"))
-    message = "product of 12 factors exceeded 100000 terms: 531441"
-    with pytest.raises(CapExceededError, match=message):
-        standard_character(a2, twelve)
-    with pytest.raises(CapExceededError, match="exceeded 8 terms: 9"):
-        standard_character(a2, p, cap=8)
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "9")
+    assert len(standard_character(a2, p)) == 6
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "8")
+    with pytest.raises(CapExceededError, match="exceeded 8 term pairs: 9$"):
+        standard_character(a2, p)
+    # two classes of one factor each: the class product is the 3 x 3 step,
+    # refused before it is formed
+    split = DrinfeldData([(1, q(0)), (1, Spectral("b", 0))])
+    assert len(split.classes(a2)) == 2
+    monkeypatch.setattr(engine, "_times", lambda *args: pytest.fail("multiplied past the cap"))
+    with pytest.raises(CapExceededError, match="exceeded 8 term pairs: 9$"):
+        standard_character(a2, split)
+
+
+def test_standard_character_cap_bounds_work_not_multiplicity(a2, monkeypatch):
+    # 3^13 > 10^6 at t = 1, but no fold step forms more than a few hundred
+    # term pairs, so the default cap lets the product through
+    monkeypatch.delenv("QCHAR_MAX_TERMS", raising=False)
+    chi = standard_character(a2, DrinfeldData([(1, q(0))] * 13))
+    assert sum(specialize_t(chi, 1).values()) == 3**13 > errors.DEFAULT_CAP
 
 
 @pytest.mark.parametrize("bad", ["abc", "-3", "0"])
@@ -339,7 +348,7 @@ def test_product_loops_build_no_monomial_through_init(d5, monkeypatch):
     expected = tableaux_d.standard_char_tableaux(d5, p)
     closed = {f: engine._fundamental_terms(d5, f) for f in p.roots}
     top_maps = [f.top._e for f in p.roots]
-    monkeypatch.setattr(engine, "_fundamental_terms", lambda d, f, cap=None: closed[f])
+    monkeypatch.setattr(engine, "_fundamental_terms", lambda d, f: closed[f])
     real_times, in_times = engine._times, []
 
     def times(left, right):
