@@ -92,6 +92,20 @@ def test_fundamental_closure_refusals(a2, d5):
     assert len(fundamental_character(d5, f, max_rounds=15)) == 45
 
 
+def test_closure_merges_pending_blocks_and_partial_residuals(a2):
+    # this duck-typed top sends two blocks to one pending monomial in one
+    # direction, and flushes a monomial whose pending entry covers only part
+    # of its coefficient; the closure must still give the standard character
+    top = ym((2, 2), (1, 3), (1, 4))
+    chi = fundamental_character(a2, SimpleNamespace(top=top))
+    p = DrinfeldData([(2, q(2)), (1, q(3)), (1, q(4))])
+    assert chi == standard_character(a2, p)
+    assert chi == tableaux_a.standard_char_tableaux(a2, p)
+    assert len(chi) == 24
+    assert sum(specialize_t(chi, 1).values()) == 27
+    assert sum(c == ONE_PLUS_T2 for _, c in chi.items()) == 3
+
+
 def test_closure_refusals_name_the_sort_first_monomial(a2, d4):
     # a round's failures are found in set order, which follows the hashes of
     # the bases; the refusal must still name the first in Monomial.sort_key
