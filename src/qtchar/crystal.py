@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import CapExceededError, NotInParitySetError, NotLDominantError, QtcharError, env_cap
 from .rootdata import DynkinDiagram, bipartite_coloring, simple_root
-from .yalgebra import Monomial, Spectral, a_monomial
+from .yalgebra import Monomial, Spectral, _edge_key, _to_dot, a_monomial
 
 _FLAT = (0, 0, None, None)  # (eps, phi, p_index, q_index) at a node absent from m
 
@@ -117,12 +117,8 @@ class CrystalGraph:
     def sorted_vertices(self) -> List[Monomial]:
         return sorted(self.vertices, key=Monomial.sort_key)
 
-    @staticmethod
-    def _edge_key(source_key):  # by source, ranked as sort_key ranks it, then color
-        return lambda e: (source_key(e[0]), e[2])
-
     def sorted_edges(self) -> List[Tuple[Monomial, Monomial, int]]:
-        return sorted(self.edges, key=self._edge_key(Monomial.sort_key))
+        return sorted(self.edges, key=_edge_key(Monomial.sort_key))
 
     def canonical_hash(self) -> Tuple:
         """Shape of the colored graph, invariant under relabeling monomials.
@@ -149,30 +145,17 @@ class CrystalGraph:
         return (len(self.vertices), tuple(sorted(shape)))
 
     def to_dot(self) -> str:
-        rank = {m: k for k, m in enumerate(self.sorted_vertices())}
-        lines = ["digraph crystal {"]
-        lines += [f'  v{k} [label="{m}"];' for m, k in rank.items()]
-        for m1, m2, i in sorted(self.edges, key=self._edge_key(rank.__getitem__)):
-            lines.append(f'  v{rank[m1]} -> v{rank[m2]} [label="{i}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        return _to_dot("crystal", self.vertices, self.edges, str)
 
 
-def generate_crystal(
-    d: DynkinDiagram,
-    m0: Monomial,
-    coloring: Dict[int, int] | None = None,
-    cap: int | None = None,
-) -> CrystalGraph:
-    """Close a dominant parity-admissible monomial under lowering operators."""
+def generate_crystal(d: DynkinDiagram, m0: Monomial) -> CrystalGraph:
+    """Close a dominant parity-admissible monomial under lowering operators,
+    in the coloring fit_coloring gives it.  Raises CapExceededError past
+    QCHAR_MAX_VERTICES vertices."""
     if not m0.is_l_dominant():
         raise NotLDominantError(f"{m0} is not dominant")
-    if coloring is None:
-        coloring = fit_coloring(d, m0)
-    elif not in_parity_set(d, m0, coloring):
-        raise NotInParitySetError(f"{m0} violates the given coloring")
-    if cap is None:
-        cap = env_cap("QCHAR_MAX_VERTICES")
+    coloring = fit_coloring(d, m0)
+    cap = env_cap("QCHAR_MAX_VERTICES")
     down = lru_cache(None)(lambda i, a: a_monomial(d, i, a).inv())
     seen = {m0: m0}
     queue = [m0]

@@ -22,7 +22,7 @@ from .errors import (
     QtcharError,
     env_cap,
 )
-from .laurent import ONE, IntLaurent
+from .laurent import ONE, IntLaurent, _axpy, _mac
 from .rootdata import DynkinDiagram
 from .yalgebra import (
     Character,
@@ -33,7 +33,9 @@ from .yalgebra import (
     Spectral,
     _HASH_MOD,
     _block,
+    _edge_key,
     _shift_down,
+    _to_dot,
     _twist_exponent,
     a_monomial,
     pairing_d,
@@ -69,9 +71,7 @@ def _fundamental_terms(d: DynkinDiagram, f: FundamentalSpec) -> List[Term]:
     # final holds each head before every monomial its blocks reached
     for m, c in final.items():
         head, drops = origin[m]
-        v = profiles[m] = dict(profiles[head])
-        for k, r in drops:
-            v[k] = v.get(k, 0) + r
+        v = profiles[m] = _axpy(dict(profiles[head]), dict(drops))
         terms.append((m, c, v))
     return terms
 
@@ -114,13 +114,7 @@ def _closure(
                     origin[m] = (head, drops)
                     buckets.setdefault(deg + sum(r for _, r in drops), set()).add(m)
                 continue
-            for e, v in cc.items():
-                v += acc.get(e, 0)
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
-            if not acc:
+            if not _axpy(acc, cc):
                 del dest[m]
 
     def flush_level(level: List[Monomial], deg: int) -> None:
@@ -137,13 +131,7 @@ def _closure(
                 elif p == a:
                     continue
                 else:
-                    r = dict(a)
-                    for e, v in p.items():
-                        v = r.get(e, 0) - v
-                        if v:
-                            r[e] = v
-                        else:
-                            del r[e]
+                    r = _axpy(dict(a), p, -1)
                 if i in low:
                     message = f"residual {IntLaurent(r)} at non-{i}-dominant {m}"
                     bad.append((m.sort_key(), i, message))
@@ -236,10 +224,7 @@ def _unit() -> Folded:
 def _summed(drops: Tuple[Profile, Profile]) -> Profile:
     """A folded term's own down-shifted profile: the sum of its two halves."""
     da, db = drops
-    out = dict(da)
-    for k, v in db.items():
-        out[k] = out.get(k, 0) + v
-    return out
+    return _axpy(dict(da), db)
 
 
 def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
@@ -261,11 +246,7 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
             entry = out.get(key)
             if entry is None:
                 entry = out[key] = ({}, (down1, down2))
-            acc = entry[0]
-            for e1, v1 in c1.items():
-                for e2, v2 in c2.items():
-                    e = e1 + e2 + tw
-                    acc[e] = acc.get(e, 0) + v1 * v2
+            _mac(entry[0], c1, c2, tw)
     return out
 
 
@@ -284,16 +265,12 @@ def _times(left: Raw, right: Raw) -> Raw:
     The classes touch disjoint variables, so each pair of terms gives its own
     monomial, on the union of the two exponent maps, and nothing merges.
     """
-    rows = [(m2._e, m2._hash, c2.items()) for m2, c2 in right.items()]
+    rows = [(m2._e, m2._hash, c2) for m2, c2 in right.items()]
     out: Raw = {}
     for m1, c1 in left.items():
-        x1, h1, c1 = m1._e, m1._hash, c1.items()
+        x1, h1 = m1._e, m1._hash
         for x2, h2, c2 in rows:
-            acc: Dict[int, int] = {}
-            for e1, v1 in c1:
-                for e2, v2 in c2:
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
-            out[Monomial._raw({**x1, **x2}, (h1 + h2) % _HASH_MOD)] = acc
+            out[Monomial._raw({**x1, **x2}, (h1 + h2) % _HASH_MOD)] = _mac({}, c1, c2)
     return out
 
 
@@ -381,24 +358,15 @@ class GammaGraph:
         self.vertices = dict(vertices)
         self.edges = frozenset(edges)
 
-    @staticmethod
-    def _edge_key(source_key):  # by source, ranked as sort_key ranks it, then node and a
-        return lambda e: (source_key(e[0]), e[2], e[3].base, e[3].qexp)
-
     def sorted_edges(self) -> List[Tuple[Monomial, Monomial, int, Spectral]]:
-        return sorted(self.edges, key=self._edge_key(Monomial.sort_key))
+        return sorted(self.edges, key=_edge_key(Monomial.sort_key))
 
     def to_dot(self) -> str:
-        rank = {m: k for k, m in enumerate(sorted(self.vertices, key=Monomial.sort_key))}
-        lines = ["digraph character {"]
-        for m, k in rank.items():
-            coeff = self.vertices[m]
-            label = str(m) if coeff == ONE else f"({coeff}) {m}"
-            lines.append(f'  v{k} [label="{label}"];')
-        for m1, m2, i, a in sorted(self.edges, key=self._edge_key(rank.__getitem__)):
-            lines.append(f'  v{rank[m1]} -> v{rank[m2]} [label="{i},{a}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        def label(m):
+            c = self.vertices[m]
+            return str(m) if c == ONE else f"({c}) {m}"
+
+        return _to_dot("character", self.vertices, self.edges, label)
 
 
 def gamma_graph(chi: Character) -> GammaGraph:

@@ -6,6 +6,29 @@ from functools import lru_cache
 from typing import Tuple
 
 
+def _mac(acc: dict, c1: dict, c2: dict, shift: int = 0) -> dict:
+    """Add the product of the sparse maps c1 and c2, times t**shift, into acc
+    in place: acc[e1 + e2 + shift] += v1 * v2.  Zeros are left in acc."""
+    for e1, v1 in c1.items():
+        for e2, v2 in c2.items():
+            e = e1 + e2 + shift
+            acc[e] = acc.get(e, 0) + v1 * v2
+    return acc
+
+
+def _axpy(acc: dict, c: dict, sign: int = 1) -> dict:
+    """Add sign * c into the sparse map acc in place, deleting every key that
+    reaches 0; returns acc.  The values may be ints or IntLaurents."""
+    for k, v in c.items():
+        old = acc.get(k)
+        v = sign * v if old is None else old + sign * v
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+    return acc
+
+
 class IntLaurent:
     """Integer Laurent polynomial in t, stored sparsely.
 
@@ -58,26 +81,18 @@ class IntLaurent:
         return hash(frozenset(self._c.items()))
 
     def __add__(self, other: "IntLaurent") -> "IntLaurent":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) + v
-        return IntLaurent(c)
+        return IntLaurent._raw(_axpy(dict(self._c), other._c))
 
     def __neg__(self) -> "IntLaurent":
         return IntLaurent({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other: "IntLaurent") -> "IntLaurent":
-        return self + (-other)
+        return IntLaurent._raw(_axpy(dict(self._c), other._c, -1))
 
     def __mul__(self, other) -> "IntLaurent":
         if isinstance(other, int):
             return IntLaurent({e: v * other for e, v in self._c.items()})
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + v1 * v2
-        return IntLaurent(c)
+        return IntLaurent(_mac({}, self._c, other._c))
 
     __rmul__ = __mul__
 

@@ -15,7 +15,7 @@ from math import prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, OutOfRangeError, env_cap
-from .laurent import IntLaurent
+from .laurent import IntLaurent, _mac
 from .rootdata import DynkinDiagram
 from .yalgebra import Character, DrinfeldData, FundamentalSpec, Monomial, Spectral
 
@@ -232,18 +232,10 @@ def _walk(pools: List[List[PoolRow]], tables: List[List[Tuple[int, List[List[int
 
 def _times(left: Raw, right: Raw) -> Raw:
     """The plain product of two raw sums; positive counts stay positive."""
-    rows = [(m2, c2.items()) for m2, c2 in right.items()]
     out: Raw = {}
     for m1, c1 in left.items():
-        c1 = c1.items()
-        for m2, c2 in rows:
-            key = m1 * m2
-            acc = out.get(key)
-            if acc is None:
-                acc = out[key] = {}
-            for e1, v1 in c1:
-                for e2, v2 in c2:
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
+        for m2, c2 in right.items():
+            _mac(out.setdefault(m1 * m2, {}), c1, c2)
     return out
 
 

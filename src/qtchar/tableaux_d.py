@@ -17,6 +17,7 @@ from itertools import product
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import OutOfRangeError, QtcharError
+from .laurent import _axpy
 from .rootdata import DynkinDiagram
 from .tableaux_a import (  # render_text serves both types
     Column,
@@ -507,11 +508,7 @@ def pad_pairs_equivalence(
     # accounted for, letter i can only come from the pair topped by i, whose
     # unbarred member places it at row c q^(1-i).  The defect there fixes the
     # pair count; the leftover difference must vanish for equal monomials.
-    diff = _row_counts(ta)
-    for key, cnt in _row_counts(tb).items():
-        diff[key] = diff.get(key, 0) - cnt
-        if not diff[key]:
-            del diff[key]
+    diff = _axpy(_row_counts(ta), _row_counts(tb), -1)
     pads_a: List[DColumn] = []
     pads_b: List[DColumn] = []
     for i in range(n, 0, -1):
@@ -522,10 +519,7 @@ def pad_pairs_equivalence(
                 pads_b.extend([up, down] * defect)
             else:
                 pads_a.extend([up, down] * (-defect))
-            for key in up.rows() + down.rows():
-                diff[key] = diff.get(key, 0) - defect
-                if not diff[key]:
-                    del diff[key]
+            _axpy(diff, _row_counts((up, down)), -defect)
     if diff:
         return None
     ta2 = tuple(ta) + tuple(pads_a)

@@ -19,7 +19,7 @@ from .errors import (
     NotLDominantError,
     QtcharError,
 )
-from .laurent import ONE, IntLaurent, t_binomial
+from .laurent import ONE, IntLaurent, _axpy, _mac, t_binomial
 from .rootdata import DynkinDiagram, Weight, bipartite_coloring, positive_roots
 
 
@@ -333,17 +333,11 @@ class Character:
 
     def __add__(self, other: "Character") -> "Character":
         self._same_diagram(other)
-        t = dict(self._t)
-        for m, c in other._t.items():
-            t[m] = t.get(m, IntLaurent.zero()) + c
-        return Character(self.diagram, t)
+        return Character._raw(self.diagram, _axpy(dict(self._t), other._t))
 
     def __sub__(self, other: "Character") -> "Character":
         self._same_diagram(other)
-        t = dict(self._t)
-        for m, c in other._t.items():
-            t[m] = t.get(m, IntLaurent.zero()) - c
-        return Character(self.diagram, t)
+        return Character._raw(self.diagram, _axpy(dict(self._t), other._t, -1))
 
     def scaled(self, c: IntLaurent) -> "Character":
         return Character(self.diagram, {m: v * c for m, v in self._t.items()})
@@ -423,11 +417,7 @@ def _block(
                 if c2 is None:  # a unit coefficient: copy, do not convolve
                     terms.append((m1 * step, c1.copy(), v1 + v2))
                     continue
-                acc: Dict[int, int] = {}
-                for e1, w1 in c1.items():
-                    for e2, w2 in c2.items():
-                        acc[e1 + e2] = acc.get(e1 + e2, 0) + w1 * w2
-                terms.append((m1 * step, acc, v1 + v2))
+                terms.append((m1 * step, _mac({}, c1, c2), v1 + v2))
         block = terms
     return block
 
@@ -466,12 +456,7 @@ def e_decompose(d: DynkinDiagram, chi: Character, i: int) -> List[Tuple[Monomial
             raise NotDecomposableError(f"maximal monomial {top} is not {i}-dominant")
         c = rem[top]
         blocks.append((top, c))
-        for m, cc, _ in _block(d, top, i, table, c._c):
-            nv = rem.get(m, IntLaurent.zero()) - IntLaurent(cc)
-            if nv:
-                rem[m] = nv
-            else:
-                rem.pop(m, None)
+        _axpy(rem, {m: IntLaurent(cc) for m, cc, _ in _block(d, top, i, table, c._c)}, -1)
     return blocks
 
 
@@ -599,6 +584,27 @@ def is_right_negative(m: Monomial) -> bool:
     m.single_base()
     smax = max(a.qexp for (_, a), _ in m.items())
     return all(v < 0 for (_, a), v in m.items() if a.qexp == smax)
+
+
+# ---------------------------------------------------------------------------
+# Graphs on monomials: edge order and DOT export
+
+
+def _edge_key(source_key):
+    """Order edges (m1, m2, *tag) by source, ranked by source_key, then tag."""
+    return lambda e: (source_key(e[0]), *e[2:])
+
+
+def _to_dot(name: str, vertices: Iterable[Monomial], edges, label) -> str:
+    """DOT text: vertices v0, v1, ... in sort_key order, labelled label(m);
+    edges in _edge_key order by their source's rank, labelled by their tag."""
+    rank = {m: k for k, m in enumerate(sorted(vertices, key=Monomial.sort_key))}
+    lines = [f"digraph {name} {{"]
+    lines += [f'  v{k} [label="{label(m)}"];' for m, k in rank.items()]
+    for m1, m2, *tag in sorted(edges, key=_edge_key(rank.__getitem__)):
+        lines.append(f'  v{rank[m1]} -> v{rank[m2]} [label="{",".join(map(str, tag))}"];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

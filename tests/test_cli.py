@@ -207,6 +207,23 @@ def test_capped_commands_exit_two_with_one_stderr_line(capsys, monkeypatch):
     assert "factor 1" in captured.out and captured.err == ""
 
 
+def test_malformed_cap_variables_are_usage_errors(capsys, monkeypatch):
+    cases = (
+        ("QCHAR_MAX_TERMS", "abc", ["standard", "--factors", "1:a:0,1:a:2"]),
+        ("QCHAR_MAX_VERTICES", "0", ["crystal", "--factors", "1:a:0"]),
+    )
+    for name, value, argv in cases:
+        monkeypatch.setenv(name, value)
+        monkeypatch.setattr(sys, "argv", ["qtchar", "--diagram", "A:2"] + argv)
+        with pytest.raises(SystemExit) as exit:
+            main()
+        assert exit.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"error: {name} must be a positive integer, got '{value}'\n"
+        assert captured.err == ""
+        monkeypatch.delenv(name)
+
+
 def test_usage_errors_exit_two():
     code, text = run(["--diagram", "A:2", "standard", "--factors", "1:a:zz"])
     assert code == 2 and "factor 1" in text

@@ -165,17 +165,15 @@ def test_parity_closure(a2, d4):
                     )
                 ]
             )
-            coloring = fit_coloring(d, m0)
-            g = generate_crystal(d, m0, coloring=coloring)
+            g = generate_crystal(d, m0)
+            assert g.coloring == fit_coloring(d, m0)
             for m in g.vertices:
-                assert in_parity_set(d, m, coloring)
+                assert in_parity_set(d, m, g.coloring)
 
 
 def test_generate_rejects_bad_input(a2):
     with pytest.raises(NotLDominantError):
         generate_crystal(a2, ym((1, 0, -1)))
-    with pytest.raises(CapExceededError):
-        generate_crystal(a2, ym((1, 0), (2, 1)), cap=3)
 
 
 def test_vertex_cap_from_environment(a2, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qtchar.laurent import ONE, ZERO, IntLaurent, t_binomial
+from qtchar.laurent import ONE, ZERO, IntLaurent, _axpy, _mac, t_binomial
 
 
 def test_zero_coefficients_are_pruned():
@@ -58,3 +58,35 @@ def test_t_binomial_specializes_to_binomial(n, r):
 
     expected = math.comb(n, r) if r <= n else 0
     assert t_binomial(n, r).eval_at(1) == expected
+
+
+# small {int: int} maps on few keys, so that sums and products cancel often
+sparse_maps = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=5)
+
+
+def _naive_sum(a, b, sign):
+    keys = set(a) | set(b)
+    out = {k: a.get(k, 0) + sign * b.get(k, 0) for k in keys}
+    return {k: v for k, v in out.items() if v}
+
+
+@given(sparse_maps, sparse_maps, st.sampled_from([1, -1, 2, -2, 3, -3]))
+def test_axpy_is_a_sum_without_zeros(a, b, sign):
+    a = {k: v for k, v in a.items() if v}  # a zero-free accumulator, as every caller keeps
+    acc = dict(a)
+    out = _axpy(acc, b, sign)
+    assert out is acc
+    assert out == _naive_sum(a, b, sign)
+    assert 0 not in out.values()
+
+
+@given(st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), min_size=1, max_size=5),
+       sparse_maps, sparse_maps, st.integers(-4, 4))
+def test_mac_is_a_shifted_convolution(acc, c1, c2, shift):
+    pairs = [(e1 + e2 + shift, v1 * v2) for e1, v1 in c1.items() for e2, v2 in c2.items()]
+    keys = set(acc) | {e for e, _ in pairs}
+    expected = {e: acc.get(e, 0) + sum(v for k, v in pairs if k == e) for e in keys}
+    out = _mac(acc, c1, c2, shift)
+    assert out is acc
+    assert out == expected  # zeros stay, as in the maps the callers accumulate
+    assert IntLaurent(_mac({}, c1, c2)) == IntLaurent(c1) * IntLaurent(c2)
