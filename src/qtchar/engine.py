@@ -221,12 +221,6 @@ def _unit() -> Folded:
     return {Monomial.one(): ({0: 1}, ({}, {}))}
 
 
-def _summed(drops: Tuple[Profile, Profile]) -> Profile:
-    """A folded term's own down-shifted profile: the sum of its two halves."""
-    da, db = drops
-    return _axpy(dict(da), db)
-
-
 def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
     """The t^(2d)-twisted product of folded left terms below mp1 and right
     terms (m2, c2, v2).
@@ -238,8 +232,8 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
     # the half of the twist that depends on m2 alone, once per m2
     rows = [(m2, c2, _twist_exponent({}, m2, mp1, v2), _shift_down(v2)) for m2, c2, v2 in right]
     out: Folded = {}
-    for m1, (c1, drops) in left.items():
-        down1 = _summed(drops)
+    for m1, (c1, (da, db)) in left.items():
+        down1 = _axpy(dict(da), db)  # m1's own down-shifted profile
         for m2, c2, tw2, down2 in rows:
             tw = 2 * (tw2 + _twist_exponent(down1, m2, mp1, {}))
             key = m1 * m2
@@ -265,12 +259,18 @@ def _times(left: Raw, right: Raw) -> Raw:
     The classes touch disjoint variables, so each pair of terms gives its own
     monomial, on the union of the two exponent maps, and nothing merges.
     """
-    rows = [(m2._e, m2._hash, c2) for m2, c2 in right.items()]
+    rows = [(m2._e, m2._hash, c2.items()) for m2, c2 in right.items()]
     out: Raw = {}
     for m1, c1 in left.items():
-        x1, h1 = m1._e, m1._hash
+        x1, h1, c1 = m1._e, m1._hash, c1.items()
         for x2, h2, c2 in rows:
-            out[Monomial._raw({**x1, **x2}, (h1 + h2) % _HASH_MOD)] = _mac({}, c1, c2)
+            # the product stays inline: a laurent._mac call per pair of terms,
+            # most of them single-term maps, made the engine benchmark slower
+            acc: Dict[int, int] = {}
+            for e1, v1 in c1:
+                for e2, v2 in c2:
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
+            out[Monomial._raw({**x1, **x2}, (h1 + h2) % _HASH_MOD)] = acc
     return out
 
 
