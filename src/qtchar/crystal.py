@@ -145,7 +145,7 @@ class CrystalGraph:
         return (len(self.vertices), tuple(sorted(shape)))
 
     def to_dot(self) -> str:
-        return _to_dot("crystal", self.vertices, self.edges, str)
+        return _to_dot("crystal", self.vertices, self.edges, str, lambda e: e[2])
 
 
 def generate_crystal(d: DynkinDiagram, m0: Monomial) -> CrystalGraph:

@@ -366,7 +366,7 @@ class GammaGraph:
             c = self.vertices[m]
             return str(m) if c == ONE else f"({c}) {m}"
 
-        return _to_dot("character", self.vertices, self.edges, label)
+        return _to_dot("character", self.vertices, self.edges, label, lambda e: f"{e[2]},{e[3]}")
 
 
 def gamma_graph(chi: Character) -> GammaGraph:

@@ -595,14 +595,14 @@ def _edge_key(source_key):
     return lambda e: (source_key(e[0]), *e[2:])
 
 
-def _to_dot(name: str, vertices: Iterable[Monomial], edges, label) -> str:
-    """DOT text: vertices v0, v1, ... in sort_key order, labelled label(m);
-    edges in _edge_key order by their source's rank, labelled by their tag."""
+def _to_dot(name: str, vertices: Iterable[Monomial], edges, vertex_label, edge_label) -> str:
+    """DOT text: vertices v0, v1, ... in sort_key order, labelled vertex_label(m);
+    edges in _edge_key order by their source's rank, labelled edge_label(e)."""
     rank = {m: k for k, m in enumerate(sorted(vertices, key=Monomial.sort_key))}
     lines = [f"digraph {name} {{"]
-    lines += [f'  v{k} [label="{label(m)}"];' for m, k in rank.items()]
-    for m1, m2, *tag in sorted(edges, key=_edge_key(rank.__getitem__)):
-        lines.append(f'  v{rank[m1]} -> v{rank[m2]} [label="{",".join(map(str, tag))}"];')
+    lines += [f'  v{k} [label="{vertex_label(m)}"];' for m, k in rank.items()]
+    for e in sorted(edges, key=_edge_key(rank.__getitem__)):
+        lines.append(f'  v{rank[e[0]]} -> v{rank[e[1]]} [label="{edge_label(e)}"];')
     lines.append("}")
     return "\n".join(lines)
 
