@@ -264,8 +264,7 @@ def _times(left: Raw, right: Raw) -> Raw:
     for m1, c1 in left.items():
         x1, h1, c1 = m1._e, m1._hash, c1.items()
         for x2, h2, c2 in rows:
-            # the product stays inline: a laurent._mac call per pair of terms,
-            # most of them single-term maps, made the engine benchmark slower
+            # inline: a laurent._mac call per pair (mostly 1-term maps) measured slower
             acc: Dict[int, int] = {}
             for e1, v1 in c1:
                 for e2, v2 in c2:

@@ -6,7 +6,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 from .errors import NonDominantError, OddCycleError, QtcharError
-from .laurent import _axpy
 
 
 class DynkinDiagram:
@@ -154,11 +153,18 @@ class Weight:
     def is_dominant(self) -> bool:
         return all(v >= 0 for v in self._c.values())
 
+    # inline: through laurent._axpy, verify_crystal_axioms measured slower
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(_axpy(dict(self._c), other._c))
+        c = dict(self._c)
+        for i, v in other._c.items():
+            c[i] = c.get(i, 0) + v
+        return Weight(c)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(_axpy(dict(self._c), other._c, -1))
+        c = dict(self._c)
+        for i, v in other._c.items():
+            c[i] = c.get(i, 0) - v
+        return Weight(c)
 
     def __neg__(self) -> "Weight":
         return Weight({i: -v for i, v in self._c.items()})
