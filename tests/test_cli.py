@@ -157,6 +157,29 @@ def test_graph_and_crystal_outputs_are_pinned(diagram, factors, command, output)
     assert (code, digest) == PINNED_OUTPUTS[diagram, factors, command, output]
 
 
+# sha256 of the character commands' text, JSON and --t-eval outputs: single-
+# and multi-class standard characters, a large fundamental, a spin character
+# and a signed t value, pinned so any change to their terms or layout shows up.
+PINNED_CHARACTERS = {
+    ("A:2", "standard", "1:a:0,2:a:1", ()): (0, "e7c29c5a0196fd2a0379a4de7a55744933cc492b9747f1d5a4a839d029a9f694"),
+    ("A:2", "standard", "1:a:0,2:a:1", ("--output", "json")): (0, "745af0e9469db4c16b0c5bf29ef1bb2c6533510ccec1b54e5deaa9aaaf1a1942"),
+    ("A:2", "standard", "1:a:0,2:a:1", ("--t-eval", "1", "--output", "json")): (0, "ee2da630b9dd21172cbe1525c320ea967a56d43abcfd14921abe8a84d5f692f4"),
+    ("A:4", "standard", "1:a:0,2:a:0,2:a:0,1:b:0", ()): (0, "8413583c34ca58b9d8348439d7cf8e5f29adc6917e70d68805f27f6d67d56495"),
+    ("D:5", "standard", "1:a:0,spin-:a:1,1:b:0", ()): (0, "06f263c1365f61759bacd38bc36b760ff4b199cada3ec69af5ba5969664c401b"),
+    ("D:5", "standard", "1:a:0,spin-:a:1,1:b:0", ("--output", "json")): (0, "802cc378edf8f275a186c285fb157d37c828f0220da5f8a1673575065c1b0ce6"),
+    ("D:7", "fundamental", "4:a:0", ()): (0, "14e7fc72c9141cf99712c33210f1fc1e74e984fbcab40b8ba7a0eb1f9d074bea"),
+    ("D:4", "spin", "spin+:a:0", ()): (0, "ca7fe4c65cd5978be629b869393ed07b7c49b4894375696e5ef0d6494b67465d"),
+    ("D:4", "fundamental", "2:a:-1", ("--t-eval", "-1")): (0, "b832bd7a0c4b6075f480e9a86a65d75d4db3b3d823f99232ca94ed939ff38432"),
+}
+
+
+@pytest.mark.parametrize("diagram,command,factors,options", sorted(PINNED_CHARACTERS))
+def test_character_outputs_are_pinned(diagram, command, factors, options):
+    code, text = run(["--diagram", diagram, command, "--factors", factors, *options])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (code, digest) == PINNED_CHARACTERS[diagram, command, factors, options]
+
+
 def test_spin_command():
     code, text = run(["--diagram", "D:4", "spin", "--factors", "spin+:a:0", "--t-eval", "1"])
     assert code == 0
