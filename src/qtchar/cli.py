@@ -101,17 +101,16 @@ def parse_factors(d: DynkinDiagram, text: str) -> List[FundamentalSpec]:
 def render_character(chi: Character, fmt: str, t_eval: Optional[int]) -> str:
     if t_eval is not None:
         values = specialize_t(chi, t_eval)
-        ordered = sorted(values.items(), key=lambda kv: kv[0].sort_key())
         if fmt == "json":
             return json.dumps(
                 {
                     "t": t_eval,
-                    "terms": [{"monomial": str(m), "value": v} for m, v in ordered],
+                    "terms": [{"monomial": str(m), "value": v} for m, v in values.items()],
                     "total": sum(values.values()),
                 },
                 indent=2,
             )
-        lines = [f"{v:>6}  {m}" for m, v in ordered]
+        lines = [f"{v:>6}  {m}" for m, v in values.items()]
         lines.append(f"total {sum(values.values())}")
         return "\n".join(lines)
     if fmt == "json":

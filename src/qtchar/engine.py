@@ -11,7 +11,7 @@ the classes multiply with no twist.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, islice
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import (
@@ -19,7 +19,7 @@ from .errors import (
     InconsistentCharacterError,
     LDominantEncounteredError,
     NotComparableError,
-    QtcharError,
+    _check_pairs,
     env_cap,
 )
 from .laurent import ONE, IntLaurent, _axpy, _mac
@@ -30,9 +30,11 @@ from .yalgebra import (
     FundamentalSpec,
     Monomial,
     Profile,
+    Raw,
     Spectral,
     _HASH_MOD,
     _block,
+    _class_product,
     _edge_key,
     _shift_down,
     _to_dot,
@@ -43,9 +45,7 @@ from .yalgebra import (
 )
 
 
-def fundamental_character(
-    d: DynkinDiagram, f: FundamentalSpec, max_rounds: int = 100000
-) -> Character:
+def fundamental_character(d: DynkinDiagram, f: FundamentalSpec) -> Character:
     """Character of a single-factor module, determined by its axioms.
 
     Raises InconsistentCharacterError if two directions force different
@@ -55,8 +55,8 @@ def fundamental_character(
     order among those of the round that fails.  Raises CapExceededError once
     the closure has filed more than QCHAR_MAX_TERMS monomials.
     """
-    final, _ = _closure(d, f.top, max_rounds)
-    return _wrap(d, final)
+    final, _ = _closure(d, f.top)
+    return Character._from_raw(d, final)
 
 
 def _fundamental_terms(d: DynkinDiagram, f: FundamentalSpec) -> List[Term]:
@@ -76,16 +76,13 @@ def _fundamental_terms(d: DynkinDiagram, f: FundamentalSpec) -> List[Term]:
     return terms
 
 
-def _closure(
-    d: DynkinDiagram, top: Monomial, max_rounds: int = 100000
-) -> Tuple[Raw, Dict[Monomial, tuple]]:
+def _closure(d: DynkinDiagram, top: Monomial) -> Tuple[Raw, Dict[Monomial, tuple]]:
     """The closure below top: its raw {monomial: {texp: coeff}} terms, each
     filed after the head that reached it, and each emitted monomial's origin
     (head, drops), read from the block term that first reached it.  More than
     QCHAR_MAX_TERMS filed monomials, counted once per round, raise
-    CapExceededError."""
-    if isinstance(max_rounds, bool) or not isinstance(max_rounds, int) or max_rounds < 1:
-        raise QtcharError(f"max_rounds must be a positive integer, got {max_rounds!r}")
+    CapExceededError; the closure ends past its last bucket, so the cap
+    bounds its rounds."""
     cap = env_cap("QCHAR_MAX_TERMS")
     # final and pending hold raw {texp: coeff} maps; pending[i] accumulates
     # every emitted rank-one block in direction i, updated in place
@@ -119,13 +116,15 @@ def _closure(
 
     def flush_level(level: List[Monomial], deg: int) -> None:
         # a block at a node where m has no exponent is {m: r}, and nothing
-        # reads pending at a flushed monomial again, so only m's nodes emit
+        # reads pending at a flushed monomial again, so only m's nodes emit,
+        # each popping its entry at m (also popping the other directions'
+        # entries there measured slower, for little more memory)
         bad = []
         for m in level:
             a = final[m]
             low = _negative_nodes(m)
             for i in {node for node, _ in m._e}:
-                p = pending[i].get(m)
+                p = pending[i].pop(m, None)
                 if p is None:
                     r = a
                 elif p == a:
@@ -141,7 +140,7 @@ def _closure(
             raise InconsistentCharacterError(min(bad)[2])
 
     flush_level([top], 0)
-    for deg in range(1, max_rounds + 1):
+    for deg in count(1):
         if len(origin) > cap:
             raise CapExceededError(f"closure exceeded {cap} monomials")
         if all(k < deg for k in buckets):
@@ -172,7 +171,6 @@ def _closure(
         if bad:
             raise min(bad, key=lambda b: b[0])[1]
         flush_level(level, deg)
-    raise InconsistentCharacterError("closure did not terminate")
 
 
 def _negative_nodes(m: Monomial) -> set:
@@ -194,8 +192,6 @@ def order_factors(fs: Iterable[FundamentalSpec]) -> List[FundamentalSpec]:
     return list(DrinfeldData(fs).roots)
 
 
-# Raw terms {monomial: {texp: coeff}}
-Raw = Dict[Monomial, Dict[int, int]]
 # A fold input term: (monomial, raw {texp: coeff}, drop profile below its top)
 Term = Tuple[Monomial, Dict[int, int], Profile]
 # A folded term: raw coefficient and two down-shifted drop profiles (see
@@ -244,55 +240,9 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
     return out
 
 
-def _check_pairs(left: int, right: int, cap: int) -> None:
-    """Refuse a product step of left x right term pairs over cap before it
-    is formed."""
-    pairs = left * right
-    if pairs > cap:
-        raise CapExceededError(f"product step exceeded {cap} term pairs: {pairs}")
-
-
-def _times(left: Raw, right: Raw) -> Raw:
-    """The plain product of the raw terms of different interaction classes.
-
-    The twist between classes is zero, so the coefficients only multiply.
-    The classes touch disjoint variables, so each pair of terms gives its own
-    monomial, on the union of the two exponent maps, and nothing merges.
-    """
-    rows = [(m2._e, m2._hash, c2.items()) for m2, c2 in right.items()]
-    out: Raw = {}
-    for m1, c1 in left.items():
-        x1, h1, c1 = m1._e, m1._hash, c1.items()
-        for x2, h2, c2 in rows:
-            # inline: a laurent._mac call per pair (mostly 1-term maps) measured slower
-            acc: Dict[int, int] = {}
-            for e1, v1 in c1:
-                for e2, v2 in c2:
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
-            out[Monomial._raw({**x1, **x2}, (h1 + h2) % _HASH_MOD)] = acc
-    return out
-
-
-def _wrap(d: DynkinDiagram, terms: Raw) -> Character:
-    """The raw terms as a Character, built once and unchecked; a map that
-    holds a zero (signed inputs can cancel) is filtered first."""
-    out = {}
-    for m, c in terms.items():
-        if 0 in c.values():
-            c = {e: v for e, v in c.items() if v}
-        if c:
-            out[m] = IntLaurent._raw(c)
-    return Character._raw(d, out)
-
-
 def _raw(terms: Folded) -> Raw:
     """The folded terms' raw coefficients, without their drop profiles."""
     return {m: c for m, (c, _) in terms.items()}
-
-
-def _character(d: DynkinDiagram, terms: Folded) -> Character:
-    """The folded terms as a Character."""
-    return _wrap(d, _raw(terms))
 
 
 def twisted_product(
@@ -301,7 +251,7 @@ def twisted_product(
     """Combine two characters with the t^(2d) twist on each pair of terms."""
     left = _certified(d, chi1, mp1, "left")
     right = _certified(d, chi2, mp2, "right")
-    return _character(d, _fold(_fold(_unit(), left, Monomial.one()), right, mp1))
+    return Character._from_raw(d, _raw(_fold(_fold(_unit(), left, Monomial.one()), right, mp1)))
 
 
 def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
@@ -319,24 +269,17 @@ def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
     if len(p.roots) == 1:
         return fundamental_character(d, p.roots[0])
     cap = env_cap("QCHAR_MAX_TERMS")
-    terms: Dict[FundamentalSpec, List[Term]] = {}
-    for f in p.roots:
-        if f not in terms:
-            terms[f] = _fundamental_terms(d, f)
-    out = None
-    for cls in p.classes(d):
+    terms = {f: _fundamental_terms(d, f) for f in dict.fromkeys(p.roots)}
+
+    def fold(cls: DrinfeldData) -> Raw:
         chi, mp = _unit(), Monomial.one()
         for f in cls.roots:
             _check_pairs(len(chi), len(terms[f]), cap)
             chi = _fold(chi, terms[f], mp)
             mp = mp * f.top
-        raw = _raw(chi)
-        if out is None:
-            out = raw
-        else:
-            _check_pairs(len(out), len(raw), cap)
-            out = _times(out, raw)
-    return Character.unit(d) if out is None else _wrap(d, out)
+        return _raw(chi)
+
+    return _class_product(d, p, fold, cap)
 
 
 def rescaled_tilde(d: DynkinDiagram, chi: Character, mp: Monomial) -> Character:

@@ -62,6 +62,13 @@ def env_cap(name: str) -> int:
     raise QtcharError(f"{name} must be a positive integer, got {text!r}")
 
 
+def _check_pairs(left: int, right: int, cap: int) -> None:
+    """Refuse a product step of left x right term pairs over cap, before it is formed."""
+    pairs = left * right
+    if pairs > cap:
+        raise CapExceededError(f"product step exceeded {cap} term pairs: {pairs}")
+
+
 class InconsistentCharacterError(QtcharError):
     """The defining axioms forced conflicting coefficients."""
 

@@ -15,9 +15,9 @@ from math import prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, OutOfRangeError, env_cap
-from .laurent import IntLaurent, _mac
 from .rootdata import DynkinDiagram
-from .yalgebra import Character, DrinfeldData, FundamentalSpec, Monomial, Spectral
+from .yalgebra import Character, DrinfeldData, FundamentalSpec, Monomial, Raw, Spectral
+from .yalgebra import _class_product
 
 
 class Column:
@@ -120,8 +120,6 @@ def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[AColumn]:
 
 
 PoolRow = Tuple[Column, Monomial, int]
-# A raw sum {monomial: {texp: count}}; every count is positive
-Raw = Dict[Monomial, Dict[int, int]]
 
 
 def _pool(n: int, cols: Iterable[AColumn]) -> List[PoolRow]:
@@ -129,15 +127,9 @@ def _pool(n: int, cols: Iterable[AColumn]) -> List[PoolRow]:
     return [(col, column_monomial(n, col), 0) for col in cols]
 
 
-def _character(d: DynkinDiagram, terms: Raw) -> Character:
-    """The raw sum as a Character, built once and unchecked: a count is
-    positive, so no map holds a zero."""
-    return Character._raw(d, {m: IntLaurent._raw(c) for m, c in terms.items()})
-
-
 def _column_sum(d: DynkinDiagram, rows: List[PoolRow]) -> Character:
     """Sum of t^(2 l) m over (column, m, l) pool rows."""
-    return _character(d, _walk([rows], [[]]))
+    return Character._from_raw(d, _walk([rows], [[]]))
 
 
 def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Character:
@@ -230,15 +222,6 @@ def _walk(pools: List[List[PoolRow]], tables: List[List[Tuple[int, List[List[int
     return terms
 
 
-def _times(left: Raw, right: Raw) -> Raw:
-    """The plain product of two raw sums; positive counts stay positive."""
-    out: Raw = {}
-    for m1, c1 in left.items():
-        for m2, c2 in right.items():
-            _mac(out.setdefault(m1 * m2, {}), c1, c2)
-    return out
-
-
 def _tableaux_sum(
     d: DynkinDiagram,
     factors: Sequence[FundamentalSpec],
@@ -253,7 +236,7 @@ def _tableaux_sum(
     classes (DrinfeldData.classes), so each class is walked on its own, with
     one table per pool pair alpha < beta, and the classes' sums multiply with
     no twist.  Raises CapExceededError, before any walk, when the product of
-    the pool lengths exceeds QCHAR_MAX_TERMS.
+    the pool lengths, which bounds every class join, exceeds QCHAR_MAX_TERMS.
     """
     cap = env_cap("QCHAR_MAX_TERMS")
     size = prod(len(ps) for ps in pools)
@@ -262,13 +245,13 @@ def _tableaux_sum(
             f"tableaux product of {len(pools)} factors exceeded {cap} terms: {size}"
         )
     pool = dict(zip(factors, pools))
-    out: Optional[Raw] = None
-    for cls in DrinfeldData(factors).classes(d):
+
+    def walk(cls: DrinfeldData) -> Raw:
         ps = [pool[f] for f in cls.roots]
         tables = [[(a, twist_table(ps[a], ps[b])) for a in range(b)] for b in range(len(ps))]
-        terms = _walk(ps, tables)
-        out = terms if out is None else _times(out, terms)
-    return Character.unit(d) if out is None else _character(d, out)
+        return _walk(ps, tables)
+
+    return _class_product(d, DrinfeldData(factors), walk, cap)
 
 
 def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:

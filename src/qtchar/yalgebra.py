@@ -9,7 +9,7 @@ Characters map monomials to integer Laurent polynomials in t.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     MixedBaseError,
@@ -18,6 +18,7 @@ from .errors import (
     NotIDominantError,
     NotLDominantError,
     QtcharError,
+    _check_pairs,
 )
 from .laurent import ONE, IntLaurent, _axpy, _mac, t_binomial
 from .rootdata import DynkinDiagram, Weight, bipartite_coloring, positive_roots
@@ -203,6 +204,8 @@ def a_monomial(d: DynkinDiagram, i: int, a: Spectral) -> Monomial:
 
 # Drop profile: root-monomial exponents v keyed by (node, spectral parameter)
 Profile = Dict[Tuple[int, Spectral], int]
+# Raw terms {monomial: {texp: coeff}}: the routes' working form of a character
+Raw = Dict[Monomial, Dict[int, int]]
 
 
 def v_profile(d: DynkinDiagram, m: Monomial, mp: Monomial) -> Optional[Profile]:
@@ -302,6 +305,18 @@ class Character:
         return chi
 
     @staticmethod
+    def _from_raw(diagram: DynkinDiagram, terms: Raw) -> "Character":
+        """A character on raw terms, built once and unchecked; a map that holds
+        a zero (signed inputs can cancel) is filtered first."""
+        out = {}
+        for m, c in terms.items():
+            if 0 in c.values():
+                c = {e: v for e, v in c.items() if v}
+            if c:
+                out[m] = IntLaurent._raw(c)
+        return Character._raw(diagram, out)
+
+    @staticmethod
     def unit(d: DynkinDiagram) -> "Character":
         return Character(d, {Monomial.one(): ONE})
 
@@ -351,7 +366,7 @@ class Character:
 
 
 def specialize_t(chi: Character, t0: int) -> Dict[Monomial, int]:
-    """Evaluate every coefficient at the integer t0, dropping zeros."""
+    """Every coefficient evaluated at the integer t0, zeros dropped, in sort_key order."""
     out = {}
     for m, c in chi.items():
         v = c.eval_at(t0)
@@ -555,6 +570,43 @@ class DrinfeldData:
 
     def __repr__(self) -> str:
         return f"DrinfeldData({list(self.roots)!r})"
+
+
+def _class_product(
+    d: DynkinDiagram, p: DrinfeldData, class_sum: Callable[[DrinfeldData], Raw], cap: int
+) -> Character:
+    """The plain product, as a Character, of the raw sums class_sum(cls) over
+    p's interaction classes; a join of more than cap term pairs is refused
+    before it is formed."""
+    out = None
+    for cls in p.classes(d):
+        raw = class_sum(cls)
+        if out is not None:
+            _check_pairs(len(out), len(raw), cap)
+            raw = _times(out, raw)
+        out = raw
+    return Character.unit(d) if out is None else Character._from_raw(d, out)
+
+
+def _times(left: Raw, right: Raw) -> Raw:
+    """The plain product of the raw terms of different interaction classes.
+
+    The twist between classes is zero, so the coefficients only multiply.
+    The classes touch disjoint variables, so each pair of terms gives its own
+    monomial, on the union of the two exponent maps, and nothing merges.
+    """
+    rows = [(m2._e, m2._hash, c2.items()) for m2, c2 in right.items()]
+    out: Raw = {}
+    for m1, c1 in left.items():
+        x1, h1, c1 = m1._e, m1._hash, c1.items()
+        for x2, h2, c2 in rows:
+            # inline: a laurent._mac call per pair (mostly 1-term maps) measured slower
+            acc: Dict[int, int] = {}
+            for e1, v1 in c1:
+                for e2, v2 in c2:
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
+            out[Monomial._raw({**x1, **x2}, (h1 + h2) % _HASH_MOD)] = acc
+    return out
 
 
 def monomial_from_rational_tuple(num: DrinfeldData, den: DrinfeldData) -> Monomial:
