@@ -21,7 +21,7 @@ from qtchar.errors import (
     NotLDominantError,
     QtcharError,
 )
-from qtchar.rootdata import DynkinDiagram, Weight, weyl_dimension
+from qtchar.rootdata import DynkinDiagram, Weight, simple_root, weyl_dimension
 from qtchar.yalgebra import Monomial
 
 from conftest import eps_n, phi_n, q, ym
@@ -216,6 +216,60 @@ def test_violations_at_two_vertices_come_in_vertex_order(a2):
         "missing edge Y(2,aq)^2 Y(1,aq^2)^-1 -2-> Y(2,aq) Y(2,aq^3)^-1",
         "edge Y(1,a) Y(1,aq^4)^-1 -1-> Y(1,a) Y(2,aq) is not a lowering step",
         "edge Y(1,a)^5 -1-> Y(1,a) Y(2,aq) is not a lowering step",
+    ]
+
+
+def test_each_vertex_check_fires(a2, monkeypatch):
+    from qtchar import crystal
+
+    g = generate_crystal(a2, ym((1, 0), (2, 1)))
+    # a vertex off the parity set: its lowering step does not raise back
+    odd = ym((1, -2), (1, -1, -1))
+    extra = CrystalGraph(a2, g.coloring, g.highest, g.vertices | {odd}, g.edges)
+    assert verify_crystal_axioms(extra) == [
+        "raise(lower) != id at Y(1,aq^-2) Y(1,aq^-1)^-1, direction 1"
+    ]
+    # one vertex's node-1 statistics corrupted: eps, phi or p_index
+    src, target = ym((1, 0), (1, 2), (2, 3, -1)), ym((1, 0), (1, 4, -1))
+    real = crystal._vertex_stats
+    expected = {
+        0: [
+            f"eps step wrong at {src}, direction 1",
+            f"phi-eps mismatch at {target}, direction 1",
+            f"eps step wrong at {target}, direction 1",
+        ],
+        1: [
+            f"phi step wrong at {src}, direction 1",
+            f"phi-eps mismatch at {target}, direction 1",
+            f"phi step wrong at {target}, direction 1",
+        ],
+        2: [f"raise(lower) != id at {src}, direction 1"],
+    }
+    for slot, messages in expected.items():
+
+        def corrupted(m, slot=slot):
+            base, stats = real(m)
+            if m == target:
+                s = list(stats[1])
+                s[slot] += 1
+                stats[1] = tuple(s)
+            return base, stats
+
+        monkeypatch.setattr(crystal, "_vertex_stats", corrupted)
+        assert verify_crystal_axioms(g) == messages
+    monkeypatch.setattr(crystal, "_vertex_stats", real)
+    # a wrong simple root for node 2 breaks every direction-2 weight step
+    monkeypatch.setattr(
+        crystal, "simple_root", lambda d, i: Weight({1: 2}) if i == 2 else simple_root(d, i)
+    )
+    assert verify_crystal_axioms(g) == [
+        f"weight step wrong at {m}, direction 2"
+        for m in (
+            ym((1, 0), (2, 1)),
+            ym((2, 1), (1, 2, -1), (1, 4, -1)),
+            ym((2, 1), (2, 3, -1)),
+            ym((2, 1, 2), (1, 2, -1)),
+        )
     ]
 
 
