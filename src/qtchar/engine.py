@@ -304,46 +304,55 @@ class GammaGraph:
         return sorted(self.edges, key=_edge_key(Monomial.sort_key))
 
     def to_dot(self) -> str:
-        def label(m):
+        def label(m, text):
             c = self.vertices[m]
-            return str(m) if c == ONE else f"({c}) {m}"
+            return text if c == ONE else f"({c}) {text}"
 
-        return _to_dot("character", self.vertices, self.edges, label, lambda e: f"{e[2]},{e[3]}")
+        tags: Dict[Tuple[int, Spectral], str] = {}  # (i, a) -> "i,a", per call
+        return _to_dot("character", self.vertices, self.edges, label,
+                       lambda e: tags.get(e[2:]) or tags.setdefault(e[2:], f"{e[2]},{e[3]}"))
 
 
 def gamma_graph(chi: Character) -> GammaGraph:
-    """Edges m1 -> m1 * A(i,a)^-1 within the support, for every base, every
-    q-shift strictly inside that base's span, and every node.
+    """Edges m1 -> m1 * A(i,a)^-1 within the support.
 
-    A(i, aq^s)^-1 puts a nonzero exponent at (i, aq^(s-1)) and (i, aq^(s+1)),
-    so a shift at or beyond either end of the span leaves the support.
+    Only drops whose variables (i, aq^-1), (i, aq) and each neighbour's (j, a)
+    all occur in the support are tried: the drop changes each exponent there,
+    so if neither m1 nor m2 = m1 * A(i,a)^-1 held one, m2 would hold it.
 
     The support is indexed by its monomials' additive hashes: a drop
-    subtracts hash(A(i,a)) modulo _HASH_MOD, and only a hash hit forms the
-    product and looks it up, so collisions cannot change an edge.  An edge
-    holds the support's own monomials, not the fresh product.
+    subtracts hash(A(i,a)) modulo _HASH_MOD, and a hash hit patches a copy of
+    m1's exponent map with the drop and compares it with the maps of that
+    hash, so no product is formed and a collision cannot change an edge.  An
+    edge holds the support's own monomials.
     """
     d = chi.diagram
-    support = {m: m for m in chi._t}
-
-    qexps: Dict[str, set] = {}
-    for m in support:
-        for (_, a), _ in m.items():
-            qexps.setdefault(a.base, set()).add(a.qexp)
+    keys = {k for m in chi._t for k in m._e}
     drops = []
-    for base, ks in qexps.items():
-        for s in range(min(ks) + 1, max(ks)):
-            a = Spectral(base, s)
-            for i in d.nodes:
-                step = a_monomial(d, i, a)
-                drops.append((hash(step), i, a, step.inv()))
-    prints = {hash(m) for m in support}
+    for i, lo in keys:  # lo is the (i, aq^-1) of a drop A(i, a)
+        a = lo.shift(1)
+        if i in d.nodes and (i, a.shift(1)) in keys and all((j, a) in keys for j in d.neighbors(i)):
+            step = a_monomial(d, i, a)
+            drops.append((step._hash, i, a, [(k, -v) for k, v in step._e.items()]))
+    index: Dict[int, List[Monomial]] = {}
+    for m in chi._t:
+        index.setdefault(m._hash, []).append(m)
     edges = []
-    for m1 in support:
-        h1 = hash(m1)
+    for m1 in chi._t:
+        h1 = m1._hash
         for hs, i, a, down in drops:
-            if (h1 - hs) % _HASH_MOD in prints:
-                m2 = support.get(m1 * down)
-                if m2 is not None:
+            hits = index.get((h1 - hs) % _HASH_MOD)
+            if hits is None:
+                continue
+            e = m1._e.copy()
+            for k, v in down:
+                v += e.get(k, 0)
+                if v:
+                    e[k] = v
+                else:
+                    del e[k]
+            for m2 in hits:
+                if m2._e == e:
                     edges.append((m1, m2, i, a))
-    return GammaGraph(d, {m: chi.coeff(m) for m in support}, edges)
+                    break
+    return GammaGraph(d, chi._t, edges)

@@ -153,7 +153,8 @@ class Weight:
     def is_dominant(self) -> bool:
         return all(v >= 0 for v in self._c.values())
 
-    # inline: through laurent._axpy, verify_crystal_axioms measured slower
+    # inline: only callers of the public Weight API reach these, no hot path
+    # (verify_crystal_axioms steps tuple weights), so laurent._axpy buys nothing
     def __add__(self, other: "Weight") -> "Weight":
         c = dict(self._c)
         for i, v in other._c.items():

@@ -172,21 +172,19 @@ class Monomial:
         return self._hash
 
     def __str__(self) -> str:
-        if not self._e:
-            return "1"
-        parts = []
-        for (node, a), v in self.items():
-            s = f"Y({node},{a})"
-            if v != 1:
-                s += f"^{v}"
-            parts.append(s)
-        return " ".join(parts)
+        return _text(self, {})
 
     def __repr__(self) -> str:
         return f"<{self}>"
 
 
 _UNIT = Monomial()
+
+
+def _text(m: Monomial, names: Dict[Tuple[int, Spectral], str]) -> str:
+    """str(m), each variable's "Y(node,a)" taken from names, a per-call table."""
+    ys = ((names.get(k) or names.setdefault(k, f"Y({k[0]},{k[1]})"), v) for k, v in m.items())
+    return " ".join(y if v == 1 else f"{y}^{v}" for y, v in ys) or "1"
 
 
 def a_monomial(d: DynkinDiagram, i: int, a: Spectral) -> Monomial:
@@ -648,11 +646,13 @@ def _edge_key(source_key):
 
 
 def _to_dot(name: str, vertices: Iterable[Monomial], edges, vertex_label, edge_label) -> str:
-    """DOT text: vertices v0, v1, ... in sort_key order, labelled vertex_label(m);
-    edges in _edge_key order by their source's rank, labelled edge_label(e)."""
+    """DOT text: vertices v0, v1, ... in sort_key order, labelled
+    vertex_label(m, str(m)) with str(m) from one _text table per call; edges
+    in _edge_key order by their source's rank, labelled edge_label(e)."""
     rank = {m: k for k, m in enumerate(sorted(vertices, key=Monomial.sort_key))}
+    names: Dict[Tuple[int, Spectral], str] = {}
     lines = [f"digraph {name} {{"]
-    lines += [f'  v{k} [label="{vertex_label(m)}"];' for m, k in rank.items()]
+    lines += [f'  v{k} [label="{vertex_label(m, _text(m, names))}"];' for m, k in rank.items()]
     for e in sorted(edges, key=_edge_key(rank.__getitem__)):
         lines.append(f'  v{rank[e[0]]} -> v{rank[e[1]]} [label="{edge_label(e)}"];')
     lines.append("}")

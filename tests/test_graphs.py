@@ -73,6 +73,15 @@ def characters(draw):
 @given(characters())
 @example(Character.unit(DIAGRAMS[0]))
 @example(Character(DIAGRAMS[0], {Monomial.y(2, q(1), -1): ONE}))
+# two interaction classes on one base
+@example(standard_character(DIAGRAMS[1], DrinfeldData([(1, q(0)), (1, q(1))])))
+# a product of two bases
+@example(standard_character(DIAGRAMS[1], DrinfeldData([(2, q(0)), (1, q(1, "b"))])))
+# A(1,a) has its keys (1,aq^-1) and (1,aq) in the support but not (2,a)
+@example(Character(DIAGRAMS[0], {
+    Monomial.from_factors([(1, q(-1), 1), (1, q(1), 1), (2, q(2), 1)]): ONE,
+    Monomial.from_factors([(1, q(-1), 1), (1, q(1), 1), (1, q(3), 1), (2, q(4), -1)]): ONE,
+}))
 def test_gamma_graph_matches_all_pairs_oracle(chi):
     g, ref = gamma_graph(chi), all_pairs_gamma_graph(chi)
     assert g.edges == ref.edges
