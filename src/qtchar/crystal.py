@@ -181,11 +181,12 @@ def generate_crystal(d: DynkinDiagram, m0: Monomial) -> CrystalGraph:
 def verify_crystal_axioms(g: CrystalGraph) -> List[str]:
     """Check the defining identities on every vertex; returns violations.
 
-    Statistics and weights (tuples over the diagram's nodes) are recomputed
-    once per monomial met, never read from generate_crystal; violations come
-    by vertex in sort_key order.  The lowering step is m2 = m * A(i, aq^(n+1))^-1
-    with n = q_index(m, i), and raising m2 multiplies by A(i, aq^(p-1)) with
-    p = p_index(m2, i), so raise(lower) is the identity exactly when p = n + 2.
+    Statistics and weights (a tuple over d.nodes) are recomputed once per
+    vertex, and once per lowering step that leaves the vertex set, never read
+    from generate_crystal; violations come by vertex in sort_key order.  The
+    lowering step is m2 = m * A(i, aq^(n+1))^-1 with n = q_index(m, i), and
+    raising m2 multiplies by A(i, aq^(p-1)) with p = p_index(m2, i), so
+    raise(lower) is the identity exactly when p = n + 2.
     """
     d = g.diagram
     nodes = d.nodes
