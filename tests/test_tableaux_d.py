@@ -250,7 +250,7 @@ def test_closed_v_on_highest_column_vanishes():
         assert drop_family(n, col) == {}
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_closed_forms_spin_exhaustive(n):
     d = DynkinDiagram.type_d(n)
     for chirality in "+-":
