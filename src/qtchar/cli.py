@@ -330,11 +330,10 @@ def run(argv: List[str]) -> Tuple[int, str]:
     try:
         d = parse_diagram(args.diagram)
         factors = parse_factors(d, args.factors) if args.factors else []
-        for name in ("QCHAR_MAX_TERMS", "QCHAR_MAX_VERTICES"):
-            try:
-                env_cap(name)
-            except QtcharError as exc:  # a malformed cap is a usage error
-                raise UsageError(exc)
+        try:
+            env_cap("QCHAR_MAX_TERMS")
+        except QtcharError as exc:  # a malformed cap is a usage error
+            raise UsageError(exc)
         return COMMANDS[args.command](d, factors, args)
     except UsageError as exc:
         return 2, f"error: {exc}"

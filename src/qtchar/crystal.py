@@ -151,11 +151,11 @@ class CrystalGraph:
 def generate_crystal(d: DynkinDiagram, m0: Monomial) -> CrystalGraph:
     """Close a dominant parity-admissible monomial under lowering operators,
     in the coloring fit_coloring gives it.  Raises CapExceededError past
-    QCHAR_MAX_VERTICES vertices."""
+    QCHAR_MAX_TERMS vertices."""
     if not m0.is_l_dominant():
         raise NotLDominantError(f"{m0} is not dominant")
     coloring = fit_coloring(d, m0)
-    cap = env_cap("QCHAR_MAX_VERTICES")
+    cap = env_cap("QCHAR_MAX_TERMS")
     down = lru_cache(None)(lambda i, a: a_monomial(d, i, a).inv())
     seen = {m0: m0}
     queue = [m0]

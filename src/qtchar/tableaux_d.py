@@ -326,48 +326,26 @@ def closed_u_spin(n: int, col: SpinColumn, i: int, s: int) -> int:
 def spin_drop_family(n: int, col: SpinColumn) -> Dict[Tuple[int, Spectral], int]:
     """Root-monomial multiplicities separating a spin column from its head.
 
-    Constructed by unwinding flips: while a barred class remains reachable,
-    reverse one flip and record the forward move's closed position, which is
-    A(i, aq^(n-2p+i)) for a flip opened at row p on node i <= n-1 and
-    A(n, aq^(2n-1-2p)) for the fork flip.  The record is independent of the
-    unwinding order because the exponent family is unique.
+    The family is a closed staircase: with b_0 < b_1 < ... the values v <= n-1
+    of the column's barred letters, it holds A(f_k, aq^(2k+1)) and
+    A(i, aq^(2k+n-i)) for b_k <= i <= n-2, each once, where f_k is the head's
+    node for even k and the other spin node for odd k.
     """
     a = col.center
-    entries = list(col.entries)
+    spin_nodes = (n, n - 1) if col.chirality == "+" else (n - 1, n)
+    barred = sorted(x.value for x in col.entries if x.barred and x.value <= n - 1)
     family: Dict[Tuple[int, Spectral], int] = {}
-
-    def add(node: int, qshift: int) -> None:
-        key = (node, a.shift(qshift))
-        family[key] = family.get(key, 0) + 1
-
-    for _ in range(n * n + 1):
-        barred = [x.value for x in entries if x.barred and x.value <= n - 1]
-        nclass = next(x for x in entries if x.value == n)
-        if not barred and not (nclass.barred and bar(n - 1) in entries):
-            return family
-        j = max(barred, default=n - 1)
-        if j <= n - 2:
-            p = entries.index(Letter(j + 1)) + 1
-            entries[p - 1] = Letter(j)
-            entries[entries.index(bar(j))] = bar(j + 1)
-            add(j, n - 2 * p + j)
-        elif not nclass.barred:
-            p = entries.index(Letter(n)) + 1
-            entries[p - 1] = Letter(n - 1)
-            entries[entries.index(bar(n - 1))] = bar(n)
-            add(n - 1, 2 * n - 1 - 2 * p)
-        else:
-            p = entries.index(bar(n)) + 1
-            entries[p - 1] = Letter(n - 1)
-            entries[p] = Letter(n)
-            add(n, 2 * n - 1 - 2 * p)
-    raise QtcharError("spin unwinding did not terminate")  # pragma: no cover
+    for k, b in enumerate(barred):
+        family[(spin_nodes[k % 2], a.shift(2 * k + 1))] = 1
+        for i in range(b, n - 1):
+            family[(i, a.shift(2 * k + n - i))] = 1
+    return family
 
 
 def drop_family(n: int, col: Column) -> Dict[Tuple[int, Spectral], int]:
     """Root-monomial multiplicities separating a column from its head.
 
-    Spin columns unwind their flips (spin_drop_family).  A vector column
+    Spin columns take the closed staircase (spin_drop_family).  A vector column
     walks its rows once: the letter x at b drops A(i, bq^i) for each
     p <= i <= n-2 with i < x, A(i, bq^(2n-2-i)) for each i <= n-2 with
     ibar <= x, and A(n-1, bq^(n-1)), A(n, bq^(n-1)) when n, resp. nbar, <= x.

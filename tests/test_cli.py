@@ -233,7 +233,7 @@ def test_capped_commands_exit_two_with_one_stderr_line(capsys, monkeypatch):
 def test_malformed_cap_variables_are_usage_errors(capsys, monkeypatch):
     cases = (
         ("QCHAR_MAX_TERMS", "abc", ["standard", "--factors", "1:a:0,1:a:2"]),
-        ("QCHAR_MAX_VERTICES", "0", ["crystal", "--factors", "1:a:0"]),
+        ("QCHAR_MAX_TERMS", "0", ["crystal", "--factors", "1:a:0"]),
     )
     for name, value, argv in cases:
         monkeypatch.setenv(name, value)
@@ -254,6 +254,21 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _ = run(["--diagram", "A:2", "fundamental", "--factors", "1:a:0,2:a:1"])
     assert code == 2
+    # each command's own refusals: one line on stdout, and the exit-1 path for
+    # a QtcharError that is not a usage error
+    cases = (
+        (["--diagram", "A:2", "standard"], 2, "standard expects at least one factor"),
+        (["--diagram", "A:3", "spin", "--factors", "1:a:0"], 2, "spin expects a type D diagram"),
+        (["--diagram", "D:4", "spin", "--factors", "1:a:0"], 2, "spin expects exactly one spin factor"),
+        (["--diagram", "A:2", "graph"], 2, "graph expects at least one factor"),
+        (["--diagram", "A:2", "crystal"], 2, "crystal expects at least one factor"),
+        (["--diagram", "A:3", "restrict", "--factors", "1:a:0"], 2, "restrict expects a type D diagram"),
+        (["--diagram", "D:4", "restrict"], 2, "restrict expects exactly one factor"),
+        (["--diagram", "A:2", "crystal", "--factors", "1:a:0,1:a:1"], 1,
+         "Y(1,a) Y(1,aq) fits neither two-coloring"),
+    )
+    for argv, code, message in cases:
+        assert run(argv) == (code, f"error: {message}"), argv
 
 
 HEADS = {

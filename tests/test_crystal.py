@@ -178,12 +178,12 @@ def test_generate_rejects_bad_input(a2):
 
 def test_vertex_cap_from_environment(a2, monkeypatch):
     m0 = ym((1, 0), (2, 1))
-    monkeypatch.setenv("QCHAR_MAX_VERTICES", "3")
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "3")
     with pytest.raises(CapExceededError, match="3 vertices"):
         generate_crystal(a2, m0)
     for bad in ("abc", "-3", "0"):
-        monkeypatch.setenv("QCHAR_MAX_VERTICES", bad)
-        with pytest.raises(QtcharError, match="QCHAR_MAX_VERTICES"):
+        monkeypatch.setenv("QCHAR_MAX_TERMS", bad)
+        with pytest.raises(QtcharError, match="QCHAR_MAX_TERMS"):
             generate_crystal(a2, m0)
 
 
