@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qtchar import tableaux_d
+from qtchar import tableaux_a, tableaux_d
 from qtchar.engine import FundamentalSpec, fundamental_character, standard_character
 from qtchar.errors import OutOfRangeError, QtcharError
 from qtchar.laurent import ONE, IntLaurent
@@ -325,6 +325,70 @@ def test_d_tableau_refuses_foreign_columns(d4):
     for pp, col in foreign:
         with pytest.raises(QtcharError, match="does not realize factor"):
             d_tableau(d4, (col,), pp)
+
+
+_A3, _D4 = DynkinDiagram.type_a(3), DynkinDiagram.type_d(4)
+_SPIN = enumerate_spin(4, q(0), "+")[0]
+_VEC = DColumn([Letter(1)], q(0))
+TYPED_REFUSALS = {
+    "empty column": (lambda: AColumn([], q(0)), OutOfRangeError, "column needs at least one row"),
+    "A fundamental on D4": (
+        lambda: tableaux_a.fundamental_char_tableaux(_D4, 1, q(0)),
+        OutOfRangeError, "type A tableaux need a type A diagram",
+    ),
+    "A standard on D4": (
+        lambda: tableaux_a.standard_char_tableaux(_D4, DrinfeldData([(1, q(0))])),
+        OutOfRangeError, "type A tableaux need a type A diagram",
+    ),
+    "D fundamental on A3": (
+        lambda: fundamental_char_tableaux(_A3, 1, q(0)),
+        OutOfRangeError, "type D tableaux need a type D diagram",
+    ),
+    "D spin on A3": (
+        lambda: spin_char(_A3, q(0), "+"), OutOfRangeError, "type D tableaux need a type D diagram"
+    ),
+    "D standard on A3": (
+        lambda: standard_char_tableaux(_A3, DrinfeldData([(1, q(0))])),
+        OutOfRangeError, "type D tableaux need a type D diagram",
+    ),
+    "spin rank 3": (
+        lambda: enumerate_spin(3, q(0), "+"), OutOfRangeError, "spin columns need rank >= 4"
+    ),
+    "spin chirality": (
+        lambda: spin_char(_D4, q(0), "x"), OutOfRangeError, "chirality must be '+' or '-'"
+    ),
+    "half box letter": (
+        lambda: half_box_monomial(4, Letter(5), q(0)), OutOfRangeError, "letter 5 outside rank 4"
+    ),
+    "factor node": (
+        lambda: standard_char_tableaux(_D4, DrinfeldData([(5, q(0))])),
+        OutOfRangeError, "node 5 outside rank 4",
+    ),
+    "tableau width": (
+        lambda: d_tableau(_D4, (_VEC, _VEC), DrinfeldData([(1, q(0))])),
+        QtcharError, "tableau width differs from the factor count",
+    ),
+    "pad spin left": (
+        lambda: pad_pairs_equivalence(4, (_SPIN,), (_VEC,)),
+        QtcharError, "pair padding applies to vector columns only",
+    ),
+    "pad spin right": (
+        lambda: pad_pairs_equivalence(4, (_VEC,), (_SPIN,)),
+        QtcharError, "pair padding applies to vector columns only",
+    ),
+    "rank 0": (lambda: DynkinDiagram("A", 0, []), QtcharError, "rank must be at least 1"),
+    "edge outside": (
+        lambda: DynkinDiagram.general(2, [(1, 3)]), QtcharError, "edge (1,3) outside 1..2"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_REFUSALS))
+def test_typed_refusals(case):
+    call, kind, message = TYPED_REFUSALS[case]
+    with pytest.raises(QtcharError) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == message
 
 
 def test_d_tableau_sums_to_the_product(d4):
