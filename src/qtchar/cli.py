@@ -2,7 +2,8 @@
 
 Factors are comma-separated tokens ``node:base:qexp`` (or ``spin+:base:qexp``
 and ``spin-:base:qexp`` in type D); output is deterministic text, JSON,
-or DOT.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+or DOT.  An option the command would ignore is refused.  Exit codes: 0
+success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -169,8 +170,6 @@ def cmd_graph(d, factors, args) -> Tuple[int, str]:
 def cmd_crystal(d, factors, args) -> Tuple[int, str]:
     if not factors:
         raise UsageError("crystal expects at least one factor")
-    if args.output not in ("text", "dot"):
-        raise UsageError(f"crystal supports --output text or dot, not {args.output}")
     g = generate_crystal(d, Monomial.from_factors((f.node, f.spectral, 1) for f in factors))
     problems = verify_crystal_axioms(g)
     if args.output == "dot":
@@ -296,15 +295,29 @@ def cmd_verify(d, factors, args) -> Tuple[int, str]:
     return (1 if failures else 0), "\n".join(lines)
 
 
+# Each command, the --output values it renders and the other options it reads
 COMMANDS = {
-    "fundamental": cmd_fundamental,
-    "standard": cmd_standard,
-    "spin": cmd_spin,
-    "crystal": cmd_crystal,
-    "graph": cmd_graph,
-    "verify": cmd_verify,
-    "restrict": cmd_restrict,
+    "fundamental": (cmd_fundamental, ("text", "json", "dot"), ("--factors", "--t-eval")),
+    "standard": (cmd_standard, ("text", "json", "dot"), ("--factors", "--t-eval")),
+    "spin": (cmd_spin, ("text", "json", "dot"), ("--factors", "--t-eval")),
+    "crystal": (cmd_crystal, ("text", "dot"), ("--factors",)),
+    "graph": (cmd_graph, ("text", "json", "dot"), ("--factors",)),
+    "verify": (cmd_verify, ("text",), ("--seed",)),
+    "restrict": (cmd_restrict, ("text",), ("--factors",)),
 }
+
+
+def check_options(args: argparse.Namespace) -> None:
+    """Refuse an option that the command would ignore."""
+    _, outputs, reads = COMMANDS[args.command]
+    for flag in ("--factors", "--t-eval", "--seed"):
+        if getattr(args, flag[2:].replace("-", "_")) not in (None, "") and flag not in reads:
+            raise UsageError(f"{args.command} does not read {flag}")
+    name = args.command
+    if args.t_eval is not None:  # t-evaluated values have no DOT form
+        name, outputs = f"{name} --t-eval", ("text", "json")
+    if args.output not in outputs:
+        raise UsageError(f"{name} supports --output {' or '.join(outputs)}, not {args.output}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,10 +344,11 @@ def run(argv: List[str]) -> Tuple[int, str]:
         d = parse_diagram(args.diagram)
         factors = parse_factors(d, args.factors) if args.factors else []
         try:
-            env_cap("QCHAR_MAX_TERMS")
+            env_cap()
         except QtcharError as exc:  # a malformed cap is a usage error
             raise UsageError(exc)
-        return COMMANDS[args.command](d, factors, args)
+        check_options(args)
+        return COMMANDS[args.command][0](d, factors, args)
     except UsageError as exc:
         return 2, f"error: {exc}"
     except CapExceededError as exc:

@@ -83,7 +83,7 @@ def kashiwara_f(d: DynkinDiagram, m: Monomial, i: int) -> Optional[Monomial]:
     return m * a_monomial(d, i, Spectral(base, qn + 1)).inv()
 
 
-def in_parity_set(d: DynkinDiagram, m: Monomial, coloring: Dict[int, int]) -> bool:
+def in_parity_set(m: Monomial, coloring: Dict[int, int]) -> bool:
     """Node-i exponents must vanish at q-degrees congruent to the node color."""
     return all(
         a.qexp % 2 != coloring[node] % 2 for (node, a), _ in m.items()
@@ -98,7 +98,7 @@ def fit_coloring(d: DynkinDiagram, m: Monomial) -> Dict[int, int]:
     """
     base = bipartite_coloring(d)
     for coloring in (base, {i: 1 - c for i, c in base.items()}):
-        if in_parity_set(d, m, coloring):
+        if in_parity_set(m, coloring):
             return coloring
     raise NotInParitySetError(f"{m} fits neither two-coloring")
 
@@ -106,11 +106,10 @@ def fit_coloring(d: DynkinDiagram, m: Monomial) -> Dict[int, int]:
 class CrystalGraph:
     """Closure of a highest monomial under the lowering operators."""
 
-    __slots__ = ("diagram", "coloring", "highest", "vertices", "edges")
+    __slots__ = ("diagram", "highest", "vertices", "edges")
 
-    def __init__(self, diagram, coloring, highest, vertices, edges):
+    def __init__(self, diagram, highest, vertices, edges):
         self.diagram = diagram
-        self.coloring = dict(coloring)
         self.highest = highest
         self.vertices: FrozenSet[Monomial] = frozenset(vertices)
         self.edges: FrozenSet[Tuple[Monomial, Monomial, int]] = frozenset(edges)
@@ -154,8 +153,8 @@ def generate_crystal(d: DynkinDiagram, m0: Monomial) -> CrystalGraph:
     QCHAR_MAX_TERMS vertices."""
     if not m0.is_l_dominant():
         raise NotLDominantError(f"{m0} is not dominant")
-    coloring = fit_coloring(d, m0)
-    cap = env_cap("QCHAR_MAX_TERMS")
+    fit_coloring(d, m0)  # raises NotInParitySetError when no coloring fits
+    cap = env_cap()
     down = lru_cache(None)(lambda i, a: a_monomial(d, i, a).inv())
     seen = {m0: m0}
     queue = [m0]
@@ -175,7 +174,7 @@ def generate_crystal(d: DynkinDiagram, m0: Monomial) -> CrystalGraph:
                     raise CapExceededError(f"crystal exceeded {cap} vertices")
                 seen[m2] = m2
                 queue.append(m2)
-    return CrystalGraph(d, coloring, m0, seen, edges)
+    return CrystalGraph(d, m0, seen, edges)
 
 
 def verify_crystal_axioms(g: CrystalGraph) -> List[str]:

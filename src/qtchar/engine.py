@@ -83,7 +83,7 @@ def _closure(d: DynkinDiagram, top: Monomial) -> Tuple[Raw, Dict[Monomial, tuple
     QCHAR_MAX_TERMS filed monomials, counted once per round, raise
     CapExceededError; the closure ends past its last bucket, so the cap
     bounds its rounds."""
-    cap = env_cap("QCHAR_MAX_TERMS")
+    cap = env_cap()
     # final and pending hold raw {texp: coeff} maps; pending[i] accumulates
     # every emitted rank-one block in direction i, updated in place
     final: Raw = {top: {0: 1}}
@@ -268,7 +268,7 @@ def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
     """
     if len(p.roots) == 1:
         return fundamental_character(d, p.roots[0])
-    cap = env_cap("QCHAR_MAX_TERMS")
+    cap = env_cap()
     terms = {f: _fundamental_terms(d, f) for f in dict.fromkeys(p.roots)}
 
     def fold(cls: DrinfeldData) -> Raw:
@@ -293,10 +293,9 @@ def rescaled_tilde(d: DynkinDiagram, chi: Character, mp: Monomial) -> Character:
 class GammaGraph:
     """Support of a character with one colored edge per root-monomial drop."""
 
-    __slots__ = ("diagram", "vertices", "edges")
+    __slots__ = ("vertices", "edges")
 
-    def __init__(self, diagram: DynkinDiagram, vertices, edges):
-        self.diagram = diagram
+    def __init__(self, vertices, edges):
         self.vertices = dict(vertices)
         self.edges = frozenset(edges)
 
@@ -355,4 +354,4 @@ def gamma_graph(chi: Character) -> GammaGraph:
                 if m2._e == e:
                     edges.append((m1, m2, i, a))
                     break
-    return GammaGraph(d, chi._t, edges)
+    return GammaGraph(chi._t, edges)

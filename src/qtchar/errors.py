@@ -47,10 +47,10 @@ class CapExceededError(QtcharError):
     """An enumeration exceeded its configured size cap."""
 
 
-def env_cap(name: str) -> int:
-    """The size cap read from the environment variable name, DEFAULT_CAP when
-    unset; anything but a positive integer is refused."""
-    text = os.environ.get(name)
+def env_cap() -> int:
+    """The size cap read from the environment variable QCHAR_MAX_TERMS,
+    DEFAULT_CAP when unset; anything but a positive integer is refused."""
+    text = os.environ.get("QCHAR_MAX_TERMS")
     if text is None:
         return DEFAULT_CAP
     try:
@@ -59,7 +59,7 @@ def env_cap(name: str) -> int:
             return cap
     except ValueError:
         pass
-    raise QtcharError(f"{name} must be a positive integer, got {text!r}")
+    raise QtcharError(f"QCHAR_MAX_TERMS must be a positive integer, got {text!r}")
 
 
 def _check_pairs(left: int, right: int, cap: int) -> None:

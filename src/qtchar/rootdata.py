@@ -6,6 +6,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 from .errors import NonDominantError, OddCycleError, QtcharError
+from .laurent import _axpy
 
 
 class DynkinDiagram:
@@ -153,19 +154,11 @@ class Weight:
     def is_dominant(self) -> bool:
         return all(v >= 0 for v in self._c.values())
 
-    # inline: only callers of the public Weight API reach these, no hot path
-    # (verify_crystal_axioms steps tuple weights), so laurent._axpy buys nothing
     def __add__(self, other: "Weight") -> "Weight":
-        c = dict(self._c)
-        for i, v in other._c.items():
-            c[i] = c.get(i, 0) + v
-        return Weight(c)
+        return Weight(_axpy(dict(self._c), other._c))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        c = dict(self._c)
-        for i, v in other._c.items():
-            c[i] = c.get(i, 0) - v
-        return Weight(c)
+        return Weight(_axpy(dict(self._c), other._c, -1))
 
     def __neg__(self) -> "Weight":
         return Weight({i: -v for i, v in self._c.items()})

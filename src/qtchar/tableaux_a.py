@@ -25,7 +25,7 @@ class Column:
 
     The one home of the row geometry of type A, vector and spin columns.
     Columns are equal when they are of the same kind with the same entries
-    and center (spin columns also compare their chirality).
+    and center.
     """
 
     __slots__ = ("entries", "center")
@@ -68,15 +68,15 @@ class Column:
     def __hash__(self) -> int:
         return hash(self._key())
 
+    def __repr__(self) -> str:
+        body = ",".join(map(str, self.entries))
+        return f"[{body}]_{self.center}"
+
 
 class AColumn(Column):
     """Strict or general column: letters i_1..i_N in 1..n+1 at center a."""
 
     __slots__ = ()
-
-    def __repr__(self) -> str:
-        body = ",".join(str(e) for e in self.entries)
-        return f"[{body}]_{self.center}"
 
 
 Tableau = Tuple[AColumn, ...]
@@ -182,10 +182,9 @@ def _pinched(xa: Tuple[int, ...], xb: Tuple[int, ...], s: int) -> int:
 
 def _d_table(xs: Sequence[PoolRow], ys: Sequence[PoolRow]) -> List[List[int]]:
     """d_columns of the ordered column pairs of two pools; a pool's columns
-    share one center and length, so one row offset serves the table."""
+    share one center and length, so one row offset serves the table.  The two
+    pools lie in one interaction class, so s_offset is never None here."""
     s = s_offset(xs[0][0], ys[0][0])
-    if s is None:
-        return [[0] * len(ys) for _ in xs]
     return [[_pinched(x[0].entries, y[0].entries, s) for y in ys] for x in xs]
 
 
@@ -238,7 +237,7 @@ def _tableaux_sum(
     no twist.  Raises CapExceededError, before any walk, when the product of
     the pool lengths, which bounds every class join, exceeds QCHAR_MAX_TERMS.
     """
-    cap = env_cap("QCHAR_MAX_TERMS")
+    cap = env_cap()
     size = prod(len(ps) for ps in pools)
     if size > cap:
         raise CapExceededError(

@@ -4,7 +4,7 @@ Letters are 1 < 2 < ... < n-1 < {n, nbar} < barred(n-1) < ... < barred(1),
 with n and nbar incomparable.  Vector columns (length at most n-2) allow
 weakly separated consecutive entries: strictly increasing where comparable,
 with n/nbar free to alternate.  Spin columns take one letter from each pair
-{i, ibar}, sorted, under a parity rule on the position of the n-class entry.
+{i, ibar}, sorted; their chirality is the parity of their barred letters.
 Both kinds are tableaux_a.Column subclasses, so row p sits at center
 q^(N+1-2p), and multiply per-row box monomials; spin rows use half-size
 boxes.
@@ -77,24 +77,17 @@ class DColumn(Column):
 
     __slots__ = ()
 
-    def __repr__(self) -> str:
-        return "[" + ",".join(map(str, self.entries)) + f"]_{self.center}"
-
 
 class SpinColumn(Column):
-    """Half-width column of length n with chirality '+' or '-'."""
+    """Half-width column of length n, one letter per {i, ibar} class."""
 
-    __slots__ = ("chirality",)
+    __slots__ = ()
     half_width = True
 
-    def __init__(self, entries: Iterable[Letter], center: Spectral, chirality: str):
-        super().__init__(entries, center)
-        if chirality not in ("+", "-"):
-            raise OutOfRangeError("chirality must be '+' or '-'")
-        self.chirality = chirality
-
-    def _key(self) -> tuple:
-        return super()._key() + (self.chirality,)
+    @property
+    def chirality(self) -> str:
+        """'+' for an even number of barred letters, '-' for an odd number."""
+        return "-" if sum(x.barred for x in self.entries) % 2 else "+"
 
     def __repr__(self) -> str:
         body = ",".join(map(str, self.entries))
@@ -228,22 +221,22 @@ def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Characte
 
 def enumerate_spin(n: int, a: Spectral, chirality: str) -> List[SpinColumn]:
     """The 2^(n-1) spin columns: one letter per {i, ibar} class, sorted,
-    with the n-class entry's height parity fixed by the chirality."""
+    with an even ('+') or odd ('-') number of barred letters."""
     if n < 4:
         raise OutOfRangeError("spin columns need rank >= 4")
+    if chirality not in ("+", "-"):
+        raise OutOfRangeError("chirality must be '+' or '-'")
     cols = []
     for signs in product((False, True), repeat=n - 1):
         unbarred = [i for i in range(1, n) if not signs[i - 1]]
         barred = [i for i in range(1, n) if signs[i - 1]]
-        pos = len(unbarred) + 1
-        even = (n - pos) % 2 == 0
-        n_barred = (chirality == "+") != even
+        n_barred = (len(barred) % 2 == 1) == (chirality == "+")
         entries = (
             [Letter(i) for i in unbarred]
             + [Letter(n, n_barred)]
             + [bar(i) for i in sorted(barred, reverse=True)]
         )
-        cols.append(SpinColumn(entries, a, chirality))
+        cols.append(SpinColumn(entries, a))
     return cols
 
 
@@ -266,12 +259,12 @@ def spin_flip(n: int, col: SpinColumn, p: int) -> Optional[SpinColumn]:
         if x.value == n - 1 and col.entry(p + 1) == Letter(n):
             entries[p - 1] = bar(n)
             entries[p] = bar(n - 1)
-            return SpinColumn(entries, col.center, col.chirality)
+            return SpinColumn(entries, col.center)
         if target in entries:
             j = entries.index(target)
             entries[p - 1] = Letter(x.value + 1)
             entries[j] = bar(x.value)
-            return SpinColumn(entries, col.center, col.chirality)
+            return SpinColumn(entries, col.center)
     return None
 
 

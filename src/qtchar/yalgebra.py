@@ -12,6 +12,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
+    CapExceededError,
     MixedBaseError,
     NotComparableError,
     NotDecomposableError,
@@ -19,6 +20,7 @@ from .errors import (
     NotLDominantError,
     QtcharError,
     _check_pairs,
+    env_cap,
 )
 from .laurent import ONE, IntLaurent, _axpy, _mac, t_binomial
 from .rootdata import DynkinDiagram, Weight, bipartite_coloring, positive_roots
@@ -254,13 +256,13 @@ def leq(d: DynkinDiagram, m: Monomial, mp: Monomial) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _height_weights(d: DynkinDiagram) -> Tuple[Tuple[int, ...], int]:
+def _height_weights(d: DynkinDiagram) -> Tuple[int, ...]:
     """The weights W = 2rho in simple-root coordinates, with C @ W = 2 * (1,...,1).
 
-    Any monomial drop m -> m * A(i,a)^-1 lowers sum(u * W) by exactly the
-    scale 2, giving a cheap strictly monotone height for the monomial order.
+    Any monomial drop m -> m * A(i,a)^-1 lowers sum(u * W) by exactly 2,
+    giving a cheap strictly monotone height for the monomial order.
     """
-    return tuple(map(sum, zip(*positive_roots(d)))), 2
+    return tuple(map(sum, zip(*positive_roots(d))))
 
 
 def _height(w: Tuple[int, ...], m: Monomial) -> int:
@@ -273,9 +275,8 @@ def drop_degree(d: DynkinDiagram, m: Monomial, mp: Monomial) -> int:
 
     Only meaningful when m <= mp; equals sum(v_profile(m, mp)).
     """
-    w, scale = _height_weights(d)
-    gap = _height(w, mp) - _height(w, m)
-    q, r = divmod(gap, scale)
+    w = _height_weights(d)
+    q, r = divmod(_height(w, mp) - _height(w, m), 2)
     if r:
         raise NotComparableError("monomials differ outside the root lattice")
     return q
@@ -447,23 +448,22 @@ def e_expansion(d: DynkinDiagram, m: Monomial, i: int) -> Character:
     return Character(d, {k: IntLaurent(c) for k, c, _ in _block(d, m, i, {}, {0: 1})})
 
 
-_MAX_BLOCKS = 100000
-
-
 def e_decompose(d: DynkinDiagram, chi: Character, i: int) -> List[Tuple[Monomial, IntLaurent]]:
     """Write chi as a combination of rank-one blocks in direction i.
 
     Repeatedly takes a monomial of maximal height (hence maximal for the
     order), requires it to be i-dominant, and strips its block.  Raises
-    NotDecomposableError when a maximal remaining monomial is not i-dominant.
+    NotDecomposableError when a maximal remaining monomial is not i-dominant,
+    and CapExceededError past QCHAR_MAX_TERMS blocks.
     """
-    w, _ = _height_weights(d)
+    w = _height_weights(d)
+    cap = env_cap()
     rem = dict(chi._t)
     blocks: List[Tuple[Monomial, IntLaurent]] = []
     table: dict = {}
     while rem:
-        if len(blocks) > _MAX_BLOCKS:
-            raise NotDecomposableError("block extraction did not terminate")
+        if len(blocks) >= cap:
+            raise CapExceededError(f"block extraction exceeded {cap} blocks")
         top = max(rem, key=lambda m: (_height(w, m), m.sort_key()))
         if not top.is_i_dominant(i):
             raise NotDecomposableError(f"maximal monomial {top} is not {i}-dominant")

@@ -266,6 +266,31 @@ def test_usage_errors_exit_two():
         (["--diagram", "D:4", "restrict"], 2, "restrict expects exactly one factor"),
         (["--diagram", "A:2", "crystal", "--factors", "1:a:0,1:a:1"], 1,
          "Y(1,a) Y(1,aq) fits neither two-coloring"),
+        # an option the command would ignore
+        (["--diagram", "D:4", "restrict", "--factors", "2:a:0", "--output", "json"], 2,
+         "restrict supports --output text, not json"),
+        (["--diagram", "D:4", "restrict", "--factors", "2:a:0", "--output", "dot"], 2,
+         "restrict supports --output text, not dot"),
+        (["--diagram", "A:2", "verify", "--output", "json"], 2, "verify supports --output text, not json"),
+        (["--diagram", "A:2", "verify", "--output", "dot"], 2, "verify supports --output text, not dot"),
+        (["--diagram", "A:2", "graph", "--factors", "1:a:0", "--t-eval", "1"], 2,
+         "graph does not read --t-eval"),
+        (["--diagram", "A:2", "crystal", "--factors", "1:a:0", "--t-eval", "0"], 2,
+         "crystal does not read --t-eval"),
+        (["--diagram", "D:4", "restrict", "--factors", "2:a:0", "--t-eval", "1"], 2,
+         "restrict does not read --t-eval"),
+        (["--diagram", "A:2", "verify", "--t-eval", "1"], 2, "verify does not read --t-eval"),
+        (["--diagram", "A:2", "standard", "--factors", "1:a:0", "--t-eval", "1", "--output", "dot"], 2,
+         "standard --t-eval supports --output text or json, not dot"),
+        (["--diagram", "A:2", "fundamental", "--factors", "1:a:0", "--t-eval", "1", "--output", "dot"], 2,
+         "fundamental --t-eval supports --output text or json, not dot"),
+        (["--diagram", "D:4", "spin", "--factors", "spin+:a:0", "--t-eval", "1", "--output", "dot"], 2,
+         "spin --t-eval supports --output text or json, not dot"),
+        (["--diagram", "A:2", "standard", "--factors", "1:a:0", "--seed", "1"], 2,
+         "standard does not read --seed"),
+        (["--diagram", "A:2", "graph", "--factors", "1:a:0", "--seed", "1"], 2,
+         "graph does not read --seed"),
+        (["--diagram", "A:2", "verify", "--factors", "1:a:0"], 2, "verify does not read --factors"),
     )
     for argv, code, message in cases:
         assert run(argv) == (code, f"error: {message}"), argv

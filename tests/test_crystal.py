@@ -57,8 +57,8 @@ def test_parity_set_and_coloring_fit(a2):
     m0 = ym((1, 0), (2, 1))
     col = fit_coloring(a2, m0)
     assert col == {1: 1, 2: 0}
-    assert in_parity_set(a2, m0, col)
-    assert not in_parity_set(a2, m0, {1: 0, 2: 1})
+    assert in_parity_set(m0, col)
+    assert not in_parity_set(m0, {1: 0, 2: 1})
     with pytest.raises(NotInParitySetError):
         fit_coloring(a2, ym((1, 0), (1, 1)))
 
@@ -166,9 +166,9 @@ def test_parity_closure(a2, d4):
                 ]
             )
             g = generate_crystal(d, m0)
-            assert g.coloring == fit_coloring(d, m0)
+            coloring = fit_coloring(d, m0)
             for m in g.vertices:
-                assert in_parity_set(d, m, g.coloring)
+                assert in_parity_set(m, coloring)
 
 
 def test_generate_rejects_bad_input(a2):
@@ -193,13 +193,13 @@ def test_corrupted_graph_is_reported(a2):
     src, dst, i = next(iter(edges))
     edges.remove((src, dst, i))
     edges.add((src, src, i))
-    bad = CrystalGraph(a2, g.coloring, g.highest, g.vertices, edges)
+    bad = CrystalGraph(a2, g.highest, g.vertices, edges)
     assert verify_crystal_axioms(bad) == [
         f"missing edge {src} -{i}-> {dst}",
         f"edge {src} -{i}-> {src} is not a lowering step",
     ]
     # an extra edge leaves no lowering step missing; only the edge scan sees it
-    extra = CrystalGraph(a2, g.coloring, g.highest, g.vertices, g.edges | {(src, src, i)})
+    extra = CrystalGraph(a2, g.highest, g.vertices, g.edges | {(src, src, i)})
     assert verify_crystal_axioms(extra) == [f"edge {src} -{i}-> {src} is not a lowering step"]
 
 
@@ -210,7 +210,7 @@ def test_violations_at_two_vertices_come_in_vertex_order(a2):
     assert cut <= g.edges
     # one wrong edge from a vertex, one from a monomial outside the graph
     wrong = {(ym((1, 0), (1, 4, -1)), top, 1), (ym((1, 0, 5)), top, 1)}
-    bad = CrystalGraph(a2, g.coloring, g.highest, g.vertices, (g.edges - cut) | wrong)
+    bad = CrystalGraph(a2, g.highest, g.vertices, (g.edges - cut) | wrong)
     assert verify_crystal_axioms(bad) == [
         "missing edge Y(1,a) Y(2,aq) -2-> Y(1,a) Y(1,aq^2) Y(2,aq^3)^-1",
         "missing edge Y(2,aq)^2 Y(1,aq^2)^-1 -2-> Y(2,aq) Y(2,aq^3)^-1",
@@ -225,7 +225,7 @@ def test_each_vertex_check_fires(a2, monkeypatch):
     g = generate_crystal(a2, ym((1, 0), (2, 1)))
     # a vertex off the parity set: its lowering step does not raise back
     odd = ym((1, -2), (1, -1, -1))
-    extra = CrystalGraph(a2, g.coloring, g.highest, g.vertices | {odd}, g.edges)
+    extra = CrystalGraph(a2, g.highest, g.vertices | {odd}, g.edges)
     assert verify_crystal_axioms(extra) == [
         "raise(lower) != id at Y(1,aq^-2) Y(1,aq^-1)^-1, direction 1"
     ]

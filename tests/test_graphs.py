@@ -34,7 +34,7 @@ def all_pairs_gamma_graph(chi: Character) -> GammaGraph:
                     m2 = m1 * a_monomial(d, i, a).inv()
                     if m2 in support:
                         edges.append((m1, m2, i, a))
-    return GammaGraph(d, {m: chi.coeff(m) for m in support}, edges)
+    return GammaGraph({m: chi.coeff(m) for m in support}, edges)
 
 
 @st.composite

@@ -64,14 +64,16 @@ def test_letter_order():
 def test_column_identity():
     entries = [Letter(1), Letter(2), Letter(3), Letter(4)]
     vec = DColumn(entries, q(0))
-    plus, minus = SpinColumn(entries, q(0), "+"), SpinColumn(entries, q(0), "-")
+    odd = entries[:3] + [bar(4)]
+    plus, minus = SpinColumn(entries, q(0)), SpinColumn(odd, q(0))
+    assert plus.chirality == "+" and minus.chirality == "-"
     assert vec != plus and plus != vec
     assert plus != minus
     assert AColumn([1, 2], q(0)) != DColumn([1, 2], q(0))
     assert DColumn([1, 2], q(0)) != AColumn([1, 2], q(0))
     twins = [
         (DColumn(entries, q(0)), vec),
-        (SpinColumn(entries, q(0), "-"), minus),
+        (SpinColumn(odd, q(0)), minus),
         (AColumn([1, 2], q(0)), AColumn([1, 2], q(0))),
     ]
     for x, y in twins:
@@ -117,7 +119,7 @@ def test_l_degree():
     assert l_degree(4, DColumn([Letter(3), bar(3)], q(-1))) == 0
     assert l_degree(4, DColumn([Letter(1), Letter(2)], q(0))) == 0
     assert l_degree(5, DColumn([Letter(2), Letter(3), bar(2)], q(0))) == 1
-    assert l_degree(4, SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0), "+")) == 0
+    assert l_degree(4, SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0))) == 0
 
 
 def test_enumerations():
@@ -135,8 +137,8 @@ def test_spin_enumeration():
     plus = enumerate_spin(4, q(0), "+")
     minus = enumerate_spin(4, q(0), "-")
     assert len(plus) == 8 and len(minus) == 8
-    assert SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0), "+") in plus
-    assert SpinColumn([Letter(1), Letter(2), Letter(3), bar(4)], q(0), "-") in minus
+    assert SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0)) in plus
+    assert SpinColumn([Letter(1), Letter(2), Letter(3), bar(4)], q(0)) in minus
     for col in plus + minus:
         classes = sorted(x.value for x in col.entries)
         assert classes == [1, 2, 3, 4]  # one letter per pair
@@ -144,10 +146,10 @@ def test_spin_enumeration():
 
 def test_spin_highest_monomials():
     assert column_monomial(
-        4, SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0), "+")
+        4, SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0))
     ) == ym((4, 0))
     assert column_monomial(
-        4, SpinColumn([Letter(1), Letter(2), Letter(3), bar(4)], q(0), "-")
+        4, SpinColumn([Letter(1), Letter(2), Letter(3), bar(4)], q(0))
     ) == ym((3, 0))
     assert half_box_monomial(4, bar(1), q(0)).is_unit()
 
@@ -210,7 +212,7 @@ def test_spin_differential(n):
 
 
 def test_spin_flip_edges():
-    col = SpinColumn([Letter(1), Letter(2), bar(4), bar(3)], q(0), "+")
+    col = SpinColumn([Letter(1), Letter(2), bar(4), bar(3)], q(0))
     flipped = spin_flip(4, col, 2)
     assert flipped is not None
     assert flipped.entries == (Letter(1), Letter(3), bar(4), bar(2))
@@ -219,7 +221,7 @@ def test_spin_flip_edges():
     prof = v_profile(d4, column_monomial(4, flipped), column_monomial(4, col))
     assert prof is not None and sum(prof.values()) == 1
 
-    fork = SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0), "+")
+    fork = SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0))
     forked = spin_flip(4, fork, 3)
     assert forked is not None and forked.entries == (
         Letter(1),
@@ -508,7 +510,7 @@ def test_right_negative_tail_of_vector_columns():
 
 def test_render_and_json():
     col = DColumn([Letter(2), bar(2)], q(-1))
-    sp = SpinColumn([Letter(1), Letter(2), Letter(3), bar(4)], q(0), "-")
+    sp = SpinColumn([Letter(1), Letter(2), Letter(3), bar(4)], q(0))
     text = render_text((col,))
     assert "2" in text and "̄" in text
     # spin cells are half width and marked with '!'

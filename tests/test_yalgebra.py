@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtchar.errors import (
+    CapExceededError,
     MixedBaseError,
     NotComparableError,
     NotDecomposableError,
@@ -209,10 +210,10 @@ def test_height_weights_solve_the_cartan_system():
     diagrams += [DynkinDiagram.type_d(n) for n in range(4, 9)]
     diagrams.append(DynkinDiagram.general(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]))
     for d in diagrams:
-        w, s = _height_weights(d)
+        w = _height_weights(d)
         assert len(w) == d.rank and all(x > 0 for x in w), d
         for i in d.nodes:
-            assert sum(d.cartan_entry(i, j) * w[j - 1] for j in d.nodes) == s, (d, i)
+            assert sum(d.cartan_entry(i, j) * w[j - 1] for j in d.nodes) == 2, (d, i)
 
 
 def test_drop_degree_refuses_a_gap_outside_the_root_lattice():
@@ -295,6 +296,17 @@ def test_e_decompose_round_trips(a2):
         assert sorted(got, key=lambda mc: mc[0].sort_key()) == sorted(
             heads, key=lambda mc: mc[0].sort_key()
         )
+
+
+def test_e_decompose_block_cap(a2, monkeypatch):
+    heads = [ym((1, 0)), ym((1, 4))]
+    chi = e_expansion(a2, heads[0], 1) + e_expansion(a2, heads[1], 1)
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "1")
+    with pytest.raises(CapExceededError) as info:
+        e_decompose(a2, chi, 1)
+    assert str(info.value) == "block extraction exceeded 1 blocks"
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "2")
+    assert dict(e_decompose(a2, chi, 1)) == {heads[0]: ONE, heads[1]: ONE}
 
 
 def test_pairing_examples(a2):
