@@ -257,6 +257,7 @@ def test_closed_forms_spin_exhaustive(n):
     d = DynkinDiagram.type_d(n)
     for chirality in "+-":
         for col in enumerate_spin(n, q(0), chirality):
+            assert col.chirality == chirality
             m = column_monomial(n, col)
             prof = v_profile(d, m, column_top(n, col))
             assert prof is not None
