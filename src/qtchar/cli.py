@@ -185,7 +185,9 @@ def cmd_restrict(d, factors, args) -> Tuple[int, str]:
         raise UsageError("restrict expects a type D diagram")
     if len(factors) != 1:
         raise UsageError("restrict expects exactly one factor")
-    N = factors[0].node
+    N = factors[0].node  # restriction forgets the spectral parameter
+    if N > d.rank - 2:
+        raise UsageError(f"restrict expects a vector node 1..{d.rank - 2}")
     table = tableaux_d.restricted_character(d.rank, N)
     lines = []
     for key in sorted(table):

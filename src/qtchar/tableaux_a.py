@@ -23,7 +23,8 @@ from .yalgebra import _class_product
 class Column:
     """Entries at center a; row p (top first) sits at a q^(N+1-2p).
 
-    The one home of the row geometry of type A, vector and spin columns.
+    The one home of the row geometry of type A, vector and spin columns;
+    each kind sets its box rule box(n, entry, spectral) -> Monomial.
     Columns are equal when they are of the same kind with the same entries
     and center.
     """
@@ -72,14 +73,9 @@ class Column:
         body = ",".join(map(str, self.entries))
         return f"[{body}]_{self.center}"
 
-
-class AColumn(Column):
-    """Strict or general column: letters i_1..i_N in 1..n+1 at center a."""
-
-    __slots__ = ()
-
-
-Tableau = Tuple[AColumn, ...]
+    def l_degree(self, n: int) -> int:
+        """The column's l-degree: 0 but for type D vector columns."""
+        return 0
 
 
 @lru_cache(maxsize=256)
@@ -98,10 +94,22 @@ def box_monomial(n: int, i: int, a: Spectral) -> Monomial:
     return Monomial(e)
 
 
-def column_monomial(n: int, col: AColumn) -> Monomial:
+class AColumn(Column):
+    """Strict or general column: letters i_1..i_N in 1..n+1 at center a."""
+
+    __slots__ = ()
+    box = staticmethod(box_monomial)
+
+
+Tableau = Tuple[AColumn, ...]
+
+
+def column_monomial(n: int, col: Column) -> Monomial:
+    """Product of the column's row boxes, each from its kind's box rule."""
+    box = col.box
     out = Monomial.one()
-    for b, i in col.rows():
-        out = out * box_monomial(n, i, b)
+    for b, x in col.rows():
+        out = out * box(n, x, b)
     return out
 
 
@@ -122,13 +130,17 @@ def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[AColumn]:
 PoolRow = Tuple[Column, Monomial, int]
 
 
-def _pool(n: int, cols: Iterable[AColumn]) -> List[PoolRow]:
-    """One (column, monomial, l-degree) row per column; type A degrees are 0."""
-    return [(col, column_monomial(n, col), 0) for col in cols]
+def _pool(n: int, cols: Iterable[Column]) -> List[PoolRow]:
+    """One (column, monomial, l-degree) row per column."""
+    return [(col, column_monomial(n, col), col.l_degree(n)) for col in cols]
 
 
 def _column_sum(d: DynkinDiagram, rows: List[PoolRow]) -> Character:
-    """Sum of t^(2 l) m over (column, m, l) pool rows."""
+    """Sum of t^(2 l) m over (column, m, l) pool rows.  Raises
+    CapExceededError, before the walk, past QCHAR_MAX_TERMS rows."""
+    cap = env_cap()
+    if len(rows) > cap:
+        raise CapExceededError(f"tableaux sum exceeded {cap} terms: {len(rows)}")
     return Character._from_raw(d, _walk([rows], [[]]))
 
 
@@ -223,43 +235,46 @@ def _walk(pools: List[List[PoolRow]], tables: List[List[Tuple[int, List[List[int
 
 def _tableaux_sum(
     d: DynkinDiagram,
-    factors: Sequence[FundamentalSpec],
-    pools: List[List[PoolRow]],
+    p: DrinfeldData,
+    columns: Callable[[int, FundamentalSpec], Iterable[Column]],
     twist_table: Callable[[Sequence[PoolRow], Sequence[PoolRow]], List[List[int]]],
 ) -> Character:
-    """Sum of t^(2 sum l + 2 sum twist) m_T over tableaux with one column per pool.
+    """Sum of t^(2 sum l + 2 sum twist) m_T over tableaux with one column per root of p.
 
-    pools[k] holds one (column, monomial, l-degree) row per column of the
-    k-th ordered factor; twist_table(xs, ys)[j][k] is the pair statistic of
-    the ordered column pair (xs[j], ys[k]).  Twists vanish across interaction
-    classes (DrinfeldData.classes), so each class is walked on its own, with
-    one table per pool pair alpha < beta, and the classes' sums multiply with
-    no twist.  Raises CapExceededError, before any walk, when the product of
-    the pool lengths, which bounds every class join, exceeds QCHAR_MAX_TERMS.
+    columns(n, f) gives the columns realizing the factor f, and each distinct
+    factor's pool of (column, monomial, l-degree) rows is built once;
+    twist_table(xs, ys)[j][k] is the pair statistic of the ordered column
+    pair (xs[j], ys[k]).  Twists vanish across interaction classes
+    (DrinfeldData.classes), so each class is walked on its own, with one
+    table per pool pair alpha < beta, and the classes' sums multiply with no
+    twist.  Raises CapExceededError, before any walk, when the product of the
+    pool lengths over the roots, which bounds every class join, exceeds
+    QCHAR_MAX_TERMS.
     """
+    n = d.rank
+    pool = {f: _pool(n, columns(n, f)) for f in dict.fromkeys(p.roots)}
     cap = env_cap()
-    size = prod(len(ps) for ps in pools)
+    size = prod(len(pool[f]) for f in p.roots)
     if size > cap:
         raise CapExceededError(
-            f"tableaux product of {len(pools)} factors exceeded {cap} terms: {size}"
+            f"tableaux product of {len(p)} factors exceeded {cap} terms: {size}"
         )
-    pool = dict(zip(factors, pools))
 
     def walk(cls: DrinfeldData) -> Raw:
         ps = [pool[f] for f in cls.roots]
         tables = [[(a, twist_table(ps[a], ps[b])) for a in range(b)] for b in range(len(ps))]
         return _walk(ps, tables)
 
-    return _class_product(d, DrinfeldData(factors), walk, cap)
+    return _class_product(d, p, walk, cap)
 
 
 def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
     """Tableaux sum for a product module: sum of t^(2d(T)) m_T, d from d_columns."""
     if d.kind != "A":
         raise OutOfRangeError("type A tableaux need a type A diagram")
-    n = d.rank
-    pools = [_pool(n, enumerate_fundamental_columns(n, f.node, f.spectral)) for f in p.roots]
-    return _tableaux_sum(d, p.roots, pools, _d_table)
+    return _tableaux_sum(
+        d, p, lambda n, f: enumerate_fundamental_columns(n, f.node, f.spectral), _d_table
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import OutOfRangeError, QtcharError
 from .laurent import _axpy
 from .rootdata import DynkinDiagram
-from .tableaux_a import (  # render_text serves both types
+from .tableaux_a import (  # render_text, column_monomial and _pool serve both types
     Column,
     PoolRow,
     _column_sum,
+    _pool,
     _row_counts,
     _tableaux_sum,
+    column_monomial,
     is_equivalent,
     render_text,
 )
@@ -65,36 +67,6 @@ def prec(n: int, x: Letter, y: Letter) -> bool:
 
 def preceq(n: int, x: Letter, y: Letter) -> bool:
     return x == y or prec(n, x, y)
-
-
-def admissible_step(n: int, x: Letter, y: Letter) -> bool:
-    """Valid consecutive pair in a vector column: not (x over-or-equal y)."""
-    return not (x == y or prec(n, y, x))
-
-
-class DColumn(Column):
-    """Vector column: letters at center a, rows spaced by q^2."""
-
-    __slots__ = ()
-
-
-class SpinColumn(Column):
-    """Half-width column of length n, one letter per {i, ibar} class."""
-
-    __slots__ = ()
-    half_width = True
-
-    @property
-    def chirality(self) -> str:
-        """'+' for an even number of barred letters, '-' for an odd number."""
-        return "-" if sum(x.barred for x in self.entries) % 2 else "+"
-
-    def __repr__(self) -> str:
-        body = ",".join(map(str, self.entries))
-        return f"sp{self.chirality}[{body}]_{self.center}"
-
-
-DTableau = Tuple[Column, ...]
 
 
 @lru_cache(maxsize=256)
@@ -156,12 +128,39 @@ def half_box_monomial(n: int, x: Letter, a: Spectral) -> Monomial:
     return Monomial.one()
 
 
-def column_monomial(n: int, col: Column) -> Monomial:
-    box = half_box_monomial if isinstance(col, SpinColumn) else box_monomial
-    out = Monomial.one()
-    for b, x in col.rows():
-        out = out * box(n, x, b)
-    return out
+class DColumn(Column):
+    """Vector column: letters at center a, rows spaced by q^2."""
+
+    __slots__ = ()
+    box = staticmethod(box_monomial)
+
+    def l_degree(self, n: int) -> int:
+        """Rows opening an (i, ibar) pair at vertical distance n-1-i, i <= n-2."""
+        count = 0
+        for p, x in enumerate(self.entries, start=1):
+            if not x.barred and x.value <= n - 2:
+                count += self.entry(p + n - 1 - x.value) == bar(x.value)
+        return count
+
+
+class SpinColumn(Column):
+    """Half-width column of length n, one letter per {i, ibar} class (so l-degree 0)."""
+
+    __slots__ = ()
+    half_width = True
+    box = staticmethod(half_box_monomial)
+
+    @property
+    def chirality(self) -> str:
+        """'+' for an even number of barred letters, '-' for an odd number."""
+        return "-" if sum(x.barred for x in self.entries) % 2 else "+"
+
+    def __repr__(self) -> str:
+        body = ",".join(map(str, self.entries))
+        return f"sp{self.chirality}[{body}]_{self.center}"
+
+
+DTableau = Tuple[Column, ...]
 
 
 def column_top(n: int, col: Column) -> Monomial:
@@ -184,32 +183,11 @@ def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[DColumn]:
             cols.append(DColumn(prefix, a))
             return
         for x in letters:
-            if not prefix or admissible_step(n, prefix[-1], x):
+            if not prefix or not preceq(n, x, prefix[-1]):
                 extend(prefix + [x])
 
     extend([])
     return cols
-
-
-def l_degree(n: int, col: Column) -> int:
-    """Rows opening an (i, ibar) pair at vertical distance n-1-i, i <= n-2.
-
-    Spin columns never contain such a pair, so their degree is zero.
-    """
-    if isinstance(col, SpinColumn):
-        return 0
-    count = 0
-    for p, x in enumerate(col.entries, start=1):
-        if x.barred or x.value > n - 2:
-            continue
-        partner = col.entry(p + n - 1 - x.value)
-        if partner is not None and partner == bar(x.value):
-            count += 1
-    return count
-
-
-def _pool(n: int, cols: Iterable[Column]) -> List[PoolRow]:
-    return [(col, column_monomial(n, col), l_degree(n, col)) for col in cols]
 
 
 def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Character:
@@ -273,10 +251,6 @@ def spin_flip(n: int, col: SpinColumn, p: int) -> Optional[SpinColumn]:
 # families that the product twist reads
 
 
-def _ind(flag: bool) -> int:
-    return 1 if flag else 0
-
-
 def closed_u(n: int, col: DColumn, i: int, s: int) -> int:
     """Closed exponent of Y(i, aq^s) for a vector column.
 
@@ -287,17 +261,17 @@ def closed_u(n: int, col: DColumn, i: int, s: int) -> int:
     if i == n:
         x, y = col.entry_at(s - n + 2), col.entry_at(s - n)
         return (
-            _ind(x == Letter(n - 1))
-            + _ind(x == Letter(n))
-            - _ind(y == bar(n))
-            - _ind(y == bar(n - 1))
+            int(x == Letter(n - 1))
+            + int(x == Letter(n))
+            - int(y == bar(n))
+            - int(y == bar(n - 1))
         )
     k, kk = s - i + 1, s + i + 3 - 2 * n
     return (
-        _ind(col.entry_at(k) == Letter(i))
-        - _ind(col.entry_at(k - 2) == Letter(i + 1))
-        + _ind(col.entry_at(kk) == bar(i + 1))
-        - _ind(col.entry_at(kk - 2) == bar(i))
+        int(col.entry_at(k) == Letter(i))
+        - int(col.entry_at(k - 2) == Letter(i + 1))
+        + int(col.entry_at(kk) == bar(i + 1))
+        - int(col.entry_at(kk - 2) == bar(i))
     )
 
 
@@ -310,10 +284,10 @@ def closed_u_spin(n: int, col: SpinColumn, i: int, s: int) -> int:
     """
     if i <= n - 2:
         k = s - i + 2
-        return _ind(col.entry_at(k) == Letter(i)) - _ind(col.entry_at(k - 2) == Letter(i + 1))
+        return int(col.entry_at(k) == Letter(i)) - int(col.entry_at(k - 2) == Letter(i + 1))
     k = s - n + 1
     head = Letter(n, True) if i == n - 1 else Letter(n)
-    return _ind(col.entry_at(k) == head) - _ind(col.entry_at(k - 2) == bar(n - 1))
+    return int(col.entry_at(k) == head) - int(col.entry_at(k - 2) == bar(n - 1))
 
 
 def spin_drop_family(n: int, col: SpinColumn) -> Dict[Tuple[int, Spectral], int]:
@@ -425,8 +399,7 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
     n = d.rank
-    pools = [_pool(n, _columns(n, f)) for f in p.roots]
-    return _tableaux_sum(d, p.roots, pools, lambda xs, ys: _twist_table(n, xs, ys))
+    return _tableaux_sum(d, p, _columns, lambda xs, ys: _twist_table(n, xs, ys))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 import qtchar
+from qtchar import tableaux_a, tableaux_d
 
 ENGINE_KERNELS = {
     "v_profile",
@@ -54,3 +55,13 @@ def test_tableaux_modules_import_nothing_from_engine():
                 continue
             hits = [m for m in modules if m in ("engine", "qtchar.engine")]
             assert not hits, (path.name, node.lineno, hits)
+
+
+def test_one_column_model():
+    """Each column kind carries its box rule; one column monomial and one pool
+    builder serve type A, vector and spin columns."""
+    assert tableaux_a.AColumn.box is tableaux_a.box_monomial
+    assert tableaux_d.DColumn.box is tableaux_d.box_monomial
+    assert tableaux_d.SpinColumn.box is tableaux_d.half_box_monomial
+    assert tableaux_d.column_monomial is tableaux_a.column_monomial
+    assert tableaux_d._pool is tableaux_a._pool

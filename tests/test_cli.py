@@ -211,6 +211,8 @@ def test_capped_commands_exit_two_with_one_stderr_line(capsys, monkeypatch):
          "error: product step exceeded 8 term pairs: 9"),
         ("100", ["--diagram", "D:7", "fundamental", "--factors", "4:a:0"],
          "error: closure exceeded 100 monomials"),
+        ("100", ["--diagram", "D:8", "spin", "--factors", "spin+:a:0"],
+         "error: tableaux sum exceeded 100 terms: 128"),
     )
     for cap, argv, message in cases:
         monkeypatch.setenv("QCHAR_MAX_TERMS", cap)
@@ -264,6 +266,8 @@ def test_usage_errors_exit_two():
         (["--diagram", "A:2", "crystal"], 2, "crystal expects at least one factor"),
         (["--diagram", "A:3", "restrict", "--factors", "1:a:0"], 2, "restrict expects a type D diagram"),
         (["--diagram", "D:4", "restrict"], 2, "restrict expects exactly one factor"),
+        (["--diagram", "D:5", "restrict", "--factors", "4:a:0"], 2, "restrict expects a vector node 1..3"),
+        (["--diagram", "D:5", "restrict", "--factors", "spin+:a:0"], 2, "restrict expects a vector node 1..3"),
         (["--diagram", "A:2", "crystal", "--factors", "1:a:0,1:a:1"], 1,
          "Y(1,a) Y(1,aq) fits neither two-coloring"),
         # an option the command would ignore
@@ -294,6 +298,13 @@ def test_usage_errors_exit_two():
     )
     for argv, code, message in cases:
         assert run(argv) == (code, f"error: {message}"), argv
+
+
+def test_restrict_reads_only_the_node():
+    # restriction to the finite-type subalgebra forgets the spectral parameter
+    code, text = run(["--diagram", "D:5", "restrict", "--factors", "2:a:0"])
+    assert code == 0 and text.endswith("total 45")
+    assert run(["--diagram", "D:5", "restrict", "--factors", "2:b:7"]) == (0, text)
 
 
 HEADS = {

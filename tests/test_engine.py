@@ -332,9 +332,10 @@ def test_engine_builds_each_invariant_once(d5, monkeypatch):
 def test_product_loops_build_no_monomial_through_init(d5, monkeypatch):
     fs = DrinfeldData(parse_factors(d5, "1:a:0,2:a:1,spin+:a:2")).roots
     n = d5.rank
-    pools = [tableaux_d._pool(n, tableaux_d._columns(n, f)) for f in fs]
+    cols = {f: tableaux_d._columns(n, f) for f in fs}
+    pools = [tableaux_d._pool(n, cols[f]) for f in fs]
     tables = {
-        (id(pools[a]), id(pools[b])): tableaux_d._twist_table(n, pools[a], pools[b])
+        (pools[a][0][0], pools[b][0][0]): tableaux_d._twist_table(n, pools[a], pools[b])
         for b in range(len(pools))
         for a in range(b)
     }
@@ -349,7 +350,9 @@ def test_product_loops_build_no_monomial_through_init(d5, monkeypatch):
     monkeypatch.setattr(
         Monomial, "__init__", lambda self, exps=None: inits.append(exps) or real_init(self, exps)
     )
-    walked = tableaux_a._tableaux_sum(d5, fs, pools, lambda xs, ys: tables[(id(xs), id(ys))])
+    walked = tableaux_a._tableaux_sum(
+        d5, DrinfeldData(fs), lambda n, f: cols[f], lambda xs, ys: tables[(xs[0][0], ys[0][0])]
+    )
     folded = engine._unit()
     for right, mp in zip(terms, tops):
         folded = engine._fold(folded, right, mp)

@@ -326,3 +326,37 @@ def test_tableaux_product_cap(monkeypatch):
             m.setattr(tableaux_a, "_walk", lambda *args: pytest.fail("walked past the cap"))
             with pytest.raises(CapExceededError, match=f"exceeded {size - 1} terms: {size}$"):
                 route.standard_char_tableaux(d, p)
+    # a fundamental's one pool: 3 columns (A2 node 1), 8 (D4 node 1), 8 (D4 spin+)
+    q0 = q(0)
+    fundamentals = [
+        (tableaux_a.fundamental_char_tableaux, (a2, 1, q0), FundamentalSpec(1, q0), 3),
+        (tableaux_d.fundamental_char_tableaux, (d4, 1, q0), FundamentalSpec(1, q0), 8),
+        (tableaux_d.spin_char, (d4, q0, "+"), FundamentalSpec(4, q0), 8),
+    ]
+    for call, args, f, size in fundamentals:
+        d = args[0]
+        monkeypatch.setenv("QCHAR_MAX_TERMS", str(size))
+        assert call(*args) == fundamental_character(d, f)
+        monkeypatch.setenv("QCHAR_MAX_TERMS", str(size - 1))
+        with monkeypatch.context() as m:
+            m.setattr(tableaux_a, "_walk", lambda *args: pytest.fail("walked past the cap"))
+            with pytest.raises(CapExceededError, match=f"^tableaux sum exceeded {size - 1} terms: {size}$"):
+                call(*args)
+
+
+def test_each_distinct_factor_builds_one_pool(monkeypatch):
+    a4, d5 = DynkinDiagram.type_a(4), DynkinDiagram.type_d(5)
+    # four roots of three distinct factors, and two equal spin roots
+    cases = [
+        (a4, DrinfeldData([(1, q(0)), (2, q(0)), (2, q(0)), (1, Spectral("b", 0))]),
+         tableaux_a, "enumerate_fundamental_columns", 3),
+        (d5, DrinfeldData([(5, q(0)), (5, q(0))]), tableaux_d, "enumerate_spin", 1),
+    ]
+    for d, p, module, name, pools in cases:
+        expected = standard_character(d, p)
+        calls = []
+        real = getattr(module, name)
+        with monkeypatch.context() as m:
+            m.setattr(module, name, lambda *args, real=real: calls.append(args) or real(*args))
+            assert module.standard_char_tableaux(d, p) == expected
+        assert len(calls) == pools

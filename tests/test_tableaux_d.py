@@ -27,7 +27,6 @@ from qtchar.tableaux_d import (
     fundamental_char_tableaux,
     half_box_monomial,
     is_equivalent,
-    l_degree,
     pad_pairs_equivalence,
     prec,
     render_text,
@@ -115,11 +114,12 @@ def test_column_monomials_match_figure():
 
 
 def test_l_degree():
-    assert l_degree(4, DColumn([Letter(2), bar(2)], q(-1))) == 1
-    assert l_degree(4, DColumn([Letter(3), bar(3)], q(-1))) == 0
-    assert l_degree(4, DColumn([Letter(1), Letter(2)], q(0))) == 0
-    assert l_degree(5, DColumn([Letter(2), Letter(3), bar(2)], q(0))) == 1
-    assert l_degree(4, SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0))) == 0
+    assert DColumn([Letter(2), bar(2)], q(-1)).l_degree(4) == 1
+    assert DColumn([Letter(3), bar(3)], q(-1)).l_degree(4) == 0
+    assert DColumn([Letter(1), Letter(2)], q(0)).l_degree(4) == 0
+    assert DColumn([Letter(2), Letter(3), bar(2)], q(0)).l_degree(5) == 1
+    assert SpinColumn([Letter(1), Letter(2), Letter(3), Letter(4)], q(0)).l_degree(4) == 0
+    assert AColumn([1, 2], q(0)).l_degree(4) == 0
 
 
 def test_enumerations():
@@ -400,7 +400,7 @@ def test_d_tableau_sums_to_the_product(d4):
     for x in enumerate_fundamental_columns(4, 1, q(0)):
         for y in enumerate_spin(4, q(1), "+"):
             m = column_monomial(4, x) * column_monomial(4, y)
-            texp = 2 * (d_tableau(d4, (x, y), p) + l_degree(4, x))
+            texp = 2 * (d_tableau(d4, (x, y), p) + x.l_degree(4))
             terms[m] = terms.get(m, IntLaurent.zero()) + IntLaurent.term(1, texp)
     assert standard_char_tableaux(d4, p) == Character(d4, terms)
 
