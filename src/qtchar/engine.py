@@ -114,15 +114,14 @@ def _closure(d: DynkinDiagram, top: Monomial) -> Tuple[Raw, Dict[Monomial, tuple
             if not _axpy(acc, cc):
                 del dest[m]
 
-    def flush_level(level: List[Monomial], deg: int) -> None:
-        # a block at a node where m has no exponent is {m: r}, and nothing
-        # reads pending at a flushed monomial again, so only m's nodes emit,
-        # each popping its entry at m (also popping the other directions'
-        # entries there measured slower, for little more memory)
+    def flush_level(level: List[Tuple[Monomial, set]], deg: int) -> None:
+        # level pairs each monomial with its negative nodes.  A block at a node
+        # where m has no exponent is {m: r}, and nothing reads pending at a
+        # flushed monomial again, so only m's nodes emit, each popping its entry
+        # at m (popping the other directions' entries too measured slower)
         bad = []
-        for m in level:
+        for m, low in level:
             a = final[m]
-            low = _negative_nodes(m)
             for i in {node for node, _ in m._e}:
                 p = pending[i].pop(m, None)
                 if p is None:
@@ -139,7 +138,7 @@ def _closure(d: DynkinDiagram, top: Monomial) -> Tuple[Raw, Dict[Monomial, tuple
         if bad:
             raise InconsistentCharacterError(min(bad)[2])
 
-    flush_level([top], 0)
+    flush_level([(top, _negative_nodes(top))], 0)
     for deg in count(1):
         if len(origin) > cap:
             raise CapExceededError(f"closure exceeded {cap} monomials")
@@ -167,7 +166,7 @@ def _closure(d: DynkinDiagram, top: Monomial) -> Tuple[Raw, Dict[Monomial, tuple
                 )))
             elif a:
                 final[m] = dict(a)
-                level.append(m)
+                level.append((m, forcing))
         if bad:
             raise min(bad, key=lambda b: b[0])[1]
         flush_level(level, deg)
@@ -212,9 +211,9 @@ def _certified(d: DynkinDiagram, chi: Character, mp: Monomial, tag: str) -> List
     return terms
 
 
-def _unit() -> Folded:
-    """The unit character, folded below the unit top."""
-    return {Monomial.one(): ({0: 1}, ({}, {}))}
+def _start(terms: List[Term]) -> Folded:
+    """Terms below their top, folded: the first factor of a fold."""
+    return {m: (c, ({}, _shift_down(v))) for m, c, v in terms}
 
 
 def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
@@ -223,20 +222,32 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
 
     Drop profiles add under multiplication, since the root monomials are
     independent, so each product term carries the down-shifted drops of its
-    two factors and can be folded again without v_profile.
+    two factors and can be folded again without v_profile.  One pass over
+    m2's exponents adds the twist's m1 half and builds the product's map.
     """
     # the half of the twist that depends on m2 alone, once per m2
-    rows = [(m2, c2, _twist_exponent({}, m2, mp1, v2), _shift_down(v2)) for m2, c2, v2 in right]
+    rows = [
+        (m2._e.items(), m2._hash, c2, _twist_exponent({}, m2, mp1, v2), _shift_down(v2))
+        for m2, c2, v2 in right
+    ]
     out: Folded = {}
     for m1, (c1, (da, db)) in left.items():
         down1 = _axpy(dict(da), db)  # m1's own down-shifted profile
-        for m2, c2, tw2, down2 in rows:
-            tw = 2 * (tw2 + _twist_exponent(down1, m2, mp1, {}))
-            key = m1 * m2
+        e1, h1 = m1._e, m1._hash
+        for x2, h2, c2, tw, down2 in rows:
+            e = e1.copy()
+            for k, u in x2:
+                tw += down1.get(k, 0) * u
+                u += e.get(k, 0)
+                if u:
+                    e[k] = u
+                else:
+                    del e[k]
+            key = Monomial._raw(e, (h1 + h2) % _HASH_MOD)
             entry = out.get(key)
             if entry is None:
                 entry = out[key] = ({}, (down1, down2))
-            _mac(entry[0], c1, c2, tw)
+            _mac(entry[0], c1, c2, 2 * tw)
     return out
 
 
@@ -251,20 +262,21 @@ def twisted_product(
     """Combine two characters with the t^(2d) twist on each pair of terms."""
     left = _certified(d, chi1, mp1, "left")
     right = _certified(d, chi2, mp2, "right")
-    return Character._from_raw(d, _raw(_fold(_fold(_unit(), left, Monomial.one()), right, mp1)))
+    return Character._from_raw(d, _raw(_fold(_start(left), right, mp1)))
 
 
 def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
     """Left-fold of twisted products over each interaction class's admissibly
-    ordered factors, starting from the unit; the classes' folds multiply
+    ordered factors, starting from the first; the classes' folds multiply
     with no twist (see DrinfeldData.classes).
 
     Each distinct fundamental is computed once, and its terms keep the drop
     profiles its closure carried; the running product carries its terms'
     drops too, so no term is ever solved with v_profile.  A finished class
-    keeps only its raw terms.  Raises CapExceededError when a closure, or a
-    product step's count of term pairs (the work of that step), exceeds
-    QCHAR_MAX_TERMS, the latter before the step is formed.
+    keeps only its raw terms; a class of one root is its closure's.  Raises
+    CapExceededError when a closure, or a product step's count of term pairs
+    (the work of that step), exceeds QCHAR_MAX_TERMS, the latter before the
+    step is formed.
     """
     if len(p.roots) == 1:
         return fundamental_character(d, p.roots[0])
@@ -272,8 +284,11 @@ def standard_character(d: DynkinDiagram, p: DrinfeldData) -> Character:
     terms = {f: _fundamental_terms(d, f) for f in dict.fromkeys(p.roots)}
 
     def fold(cls: DrinfeldData) -> Raw:
-        chi, mp = _unit(), Monomial.one()
-        for f in cls.roots:
+        first, *rest = cls.roots
+        if not rest:
+            return {m: c for m, c, _ in terms[first]}
+        chi, mp = _start(terms[first]), first.top
+        for f in rest:
             _check_pairs(len(chi), len(terms[f]), cap)
             chi = _fold(chi, terms[f], mp)
             mp = mp * f.top

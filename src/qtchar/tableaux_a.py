@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, repeat
-from math import prod
+from math import comb, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, OutOfRangeError, env_cap
@@ -120,10 +120,16 @@ def tableau_monomial(n: int, t: Tableau) -> Monomial:
     return out
 
 
-def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[AColumn]:
-    """All strictly increasing columns of length N over 1..n+1."""
+def _strict_count(n: int, N: int) -> int:
+    """C(n+1, N): how many strict columns of length N, in 1..n, there are."""
     if not (1 <= N <= n):
         raise OutOfRangeError(f"column length {N} outside 1..{n}")
+    return comb(n + 1, N)
+
+
+def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[AColumn]:
+    """All strictly increasing columns of length N over 1..n+1."""
+    _strict_count(n, N)  # refuses N outside 1..n
     return [AColumn(c, a) for c in combinations(range(1, n + 2), N)]
 
 
@@ -135,20 +141,22 @@ def _pool(n: int, cols: Iterable[Column]) -> List[PoolRow]:
     return [(col, column_monomial(n, col), col.l_degree(n)) for col in cols]
 
 
-def _column_sum(d: DynkinDiagram, rows: List[PoolRow]) -> Character:
-    """Sum of t^(2 l) m over (column, m, l) pool rows.  Raises
-    CapExceededError, before the walk, past QCHAR_MAX_TERMS rows."""
+def _column_sum(d: DynkinDiagram, size: int, columns: Callable[[], List[Column]]) -> Character:
+    """Sum of t^(2 l) m over the pool rows of the size columns that columns()
+    enumerates.  Raises CapExceededError past QCHAR_MAX_TERMS columns, before
+    any is enumerated."""
     cap = env_cap()
-    if len(rows) > cap:
-        raise CapExceededError(f"tableaux sum exceeded {cap} terms: {len(rows)}")
-    return Character._from_raw(d, _walk([rows], [[]]))
+    if size > cap:
+        raise CapExceededError(f"tableaux sum exceeded {cap} terms: {size}")
+    return Character._from_raw(d, _walk([_pool(d.rank, columns())], [[]]))
 
 
 def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Character:
     """Sum of column monomials over the strict columns, all coefficients 1."""
     if d.kind != "A":
         raise OutOfRangeError("type A tableaux need a type A diagram")
-    return _column_sum(d, _pool(d.rank, enumerate_fundamental_columns(d.rank, N, a)))
+    n = d.rank
+    return _column_sum(d, _strict_count(n, N), lambda: enumerate_fundamental_columns(n, N, a))
 
 
 def s_offset(ca: AColumn, cb: AColumn) -> Optional[int]:
@@ -236,29 +244,30 @@ def _walk(pools: List[List[PoolRow]], tables: List[List[Tuple[int, List[List[int
 def _tableaux_sum(
     d: DynkinDiagram,
     p: DrinfeldData,
+    count: Callable[[int, FundamentalSpec], int],
     columns: Callable[[int, FundamentalSpec], Iterable[Column]],
     twist_table: Callable[[Sequence[PoolRow], Sequence[PoolRow]], List[List[int]]],
 ) -> Character:
     """Sum of t^(2 sum l + 2 sum twist) m_T over tableaux with one column per root of p.
 
-    columns(n, f) gives the columns realizing the factor f, and each distinct
-    factor's pool of (column, monomial, l-degree) rows is built once;
-    twist_table(xs, ys)[j][k] is the pair statistic of the ordered column
-    pair (xs[j], ys[k]).  Twists vanish across interaction classes
+    columns(n, f) gives the count(n, f) columns realizing the factor f, and
+    each distinct factor's pool of (column, monomial, l-degree) rows is built
+    once; twist_table(xs, ys)[j][k] is the pair statistic of the ordered
+    column pair (xs[j], ys[k]).  Twists vanish across interaction classes
     (DrinfeldData.classes), so each class is walked on its own, with one
     table per pool pair alpha < beta, and the classes' sums multiply with no
-    twist.  Raises CapExceededError, before any walk, when the product of the
-    pool lengths over the roots, which bounds every class join, exceeds
-    QCHAR_MAX_TERMS.
+    twist.  Raises CapExceededError, before any column is enumerated, when
+    the product of the counts over the roots, which bounds every class join,
+    exceeds QCHAR_MAX_TERMS.
     """
     n = d.rank
-    pool = {f: _pool(n, columns(n, f)) for f in dict.fromkeys(p.roots)}
     cap = env_cap()
-    size = prod(len(pool[f]) for f in p.roots)
+    size = prod(count(n, f) for f in p.roots)
     if size > cap:
         raise CapExceededError(
             f"tableaux product of {len(p)} factors exceeded {cap} terms: {size}"
         )
+    pool = {f: _pool(n, columns(n, f)) for f in dict.fromkeys(p.roots)}
 
     def walk(cls: DrinfeldData) -> Raw:
         ps = [pool[f] for f in cls.roots]
@@ -273,7 +282,11 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
     if d.kind != "A":
         raise OutOfRangeError("type A tableaux need a type A diagram")
     return _tableaux_sum(
-        d, p, lambda n, f: enumerate_fundamental_columns(n, f.node, f.spectral), _d_table
+        d,
+        p,
+        lambda n, f: _strict_count(n, f.node),
+        lambda n, f: enumerate_fundamental_columns(n, f.node, f.spectral),
+        _d_table,
     )
 
 

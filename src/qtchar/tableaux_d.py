@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import OutOfRangeError, QtcharError
@@ -171,10 +172,17 @@ def column_top(n: int, col: Column) -> Monomial:
     return Monomial.y(col.length, col.center)
 
 
-def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[DColumn]:
-    """All admissible vector columns of length N at center a."""
+def _vector_count(n: int, N: int) -> int:
+    """Sum over k of C(2n, N-2k): how many vector columns of length N, in
+    1..n-2, there are."""
     if not (1 <= N <= n - 2):
         raise OutOfRangeError(f"vector column length {N} outside 1..{n - 2}")
+    return sum(comb(2 * n, N - 2 * k) for k in range(N // 2 + 1))
+
+
+def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[DColumn]:
+    """All admissible vector columns of length N at center a."""
+    _vector_count(n, N)  # refuses N outside 1..n-2
     letters = alphabet(n)
     cols: List[DColumn] = []
 
@@ -194,16 +202,23 @@ def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Characte
     """Vector fundamental: sum of t^(2 l(T)) m_T over admissible columns."""
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
-    return _column_sum(d, _pool(d.rank, enumerate_fundamental_columns(d.rank, N, a)))
+    n = d.rank
+    return _column_sum(d, _vector_count(n, N), lambda: enumerate_fundamental_columns(n, N, a))
+
+
+def _spin_count(n: int, chirality: str) -> int:
+    """2^(n-1): how many spin columns of either chirality there are."""
+    if n < 4:
+        raise OutOfRangeError("spin columns need rank >= 4")
+    if chirality not in ("+", "-"):
+        raise OutOfRangeError("chirality must be '+' or '-'")
+    return 2 ** (n - 1)
 
 
 def enumerate_spin(n: int, a: Spectral, chirality: str) -> List[SpinColumn]:
     """The 2^(n-1) spin columns: one letter per {i, ibar} class, sorted,
     with an even ('+') or odd ('-') number of barred letters."""
-    if n < 4:
-        raise OutOfRangeError("spin columns need rank >= 4")
-    if chirality not in ("+", "-"):
-        raise OutOfRangeError("chirality must be '+' or '-'")
+    _spin_count(n, chirality)  # refuses a rank below 4 or a bad chirality
     cols = []
     for signs in product((False, True), repeat=n - 1):
         unbarred = [i for i in range(1, n) if not signs[i - 1]]
@@ -222,7 +237,8 @@ def spin_char(d: DynkinDiagram, a: Spectral, chirality: str) -> Character:
     """Spin fundamental: plain sum of the spin column monomials."""
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
-    return _column_sum(d, _pool(d.rank, enumerate_spin(d.rank, a, chirality)))
+    n = d.rank
+    return _column_sum(d, _spin_count(n, chirality), lambda: enumerate_spin(n, a, chirality))
 
 
 def spin_flip(n: int, col: SpinColumn, p: int) -> Optional[SpinColumn]:
@@ -349,6 +365,15 @@ def _columns(n: int, f: FundamentalSpec) -> List[Column]:
     raise OutOfRangeError(f"node {f.node} outside rank {n}")
 
 
+def _count(n: int, f: FundamentalSpec) -> int:
+    """The closed-form number of columns _columns(n, f) gives, with its refusals."""
+    if f.node <= n - 2:
+        return _vector_count(n, f.node)
+    if f.node in (n - 1, n):
+        return _spin_count(n, "+")  # either chirality counts 2^(n-1)
+    raise OutOfRangeError(f"node {f.node} outside rank {n}")
+
+
 def _twist_table(n: int, xs: Sequence[PoolRow], ys: Sequence[PoolRow]) -> List[List[int]]:
     """Twist exponents of the ordered column pairs of two same-class pools.
 
@@ -399,7 +424,7 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
     n = d.rank
-    return _tableaux_sum(d, p, _columns, lambda xs, ys: _twist_table(n, xs, ys))
+    return _tableaux_sum(d, p, _count, _columns, lambda xs, ys: _twist_table(n, xs, ys))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ Characters map monomials to integer Laurent polynomials in t.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -387,22 +388,18 @@ def forget_spectral(chi: Character) -> Dict[Tuple[Tuple[int, int], ...], IntLaur
 # Rank-one expansion blocks and their greedy inversion
 
 
-def _rank_one_factor(
-    d: DynkinDiagram, i: int, a: Spectral, u: int
-) -> List[Tuple[Monomial, Dict[int, int], Tuple]]:
-    """The block factor sum_r t^(r(u-r)) [u,r]_t A(i,aq)^-r for u = u(i,a) > 0,
-    as (A(i,aq)^-r, raw {texp: coeff}, drops) triples for r = 0..u, where
-    drops is ((i, aq), r) as a one-pair tuple, empty for r = 0.  A unit
-    coefficient {0: 1} (every r = 0 and r = u term) is flagged as None."""
+def _rank_one_factor(d: DynkinDiagram, i: int, a: Spectral, u: int) -> list:
+    """The block factor sum_r t^(r(u-r)) [u,r]_t A(i,aq)^-r for u = u(i,a) > 0
+    past its r = 0 term, as (exponent items, hash, coefficient, drops) of
+    A(i,aq)^-r for r = 1..u.  The coefficient is t_binomial(u, r)'s shared raw
+    map with the shift r(u-r), None for the unit at r = u; drops is ((i, aq), r)
+    as a one-pair tuple."""
     aq = a.shift(1)
-    am = a_monomial(d, i, aq).inv()
+    am = a_monomial(d, i, aq)
     factor = []
-    step = Monomial.one()
-    for r in range(u + 1):
-        drops = (((i, aq), r),) if r else ()
-        c = t_binomial(u, r).shifted(r * (u - r))._c
-        factor.append((step, None if c == {0: 1} else c, drops))
-        step = step * am
+    for r in range(1, u + 1):
+        c = None if r == u else (t_binomial(u, r)._c, r * (u - r))
+        factor.append(([(k, -r * v) for k, v in am._e.items()], -r * am._hash, c, (((i, aq), r),)))
     return factor
 
 
@@ -410,15 +407,16 @@ def _block(
     d: DynkinDiagram, m: Monomial, i: int, table: dict, c: Dict[int, int]
 ) -> List[Tuple[Monomial, Dict[int, int], Tuple]]:
     """The rank-one block of the i-dominant m in direction i, scaled by the raw
-    coefficient c, as fresh (monomial, raw {texp: coeff}, drops) triples.
+    coefficient c, as (monomial, raw {texp: coeff}, drops) triples.
 
     A term's drops are the pairs ((i, aq), r) with term = m * prod A(i,aq)^-r;
-    the first term is m itself, every r = 0.  Each factor is read from table,
-    keyed by (spectral, u) for direction i and filled on a miss.  The factors'
-    root monomials are independent, so every product of terms is a distinct
-    monomial and nothing merges.
+    the first term is m itself with c itself, every other term's coefficient
+    is fresh.  Each factor is read from table, keyed by (spectral, u) for
+    direction i and filled on a miss.  The factors' root monomials are
+    independent, so every product of terms is a distinct monomial and nothing
+    merges; each term is its prefix term plus one step's exponent deltas.
     """
-    block = [(m, dict(c), ())]
+    block = [(m, c, ())]
     for (node, a), u in m._e.items():
         if node != i or u <= 0:
             continue
@@ -426,12 +424,21 @@ def _block(
         if factor is None:
             factor = table[(a, u)] = _rank_one_factor(d, i, a, u)
         terms = []
-        for m1, c1, v1 in block:
-            for step, c2, v2 in factor:
-                if c2 is None:  # a unit coefficient: copy, do not convolve
-                    terms.append((m1 * step, c1.copy(), v1 + v2))
-                    continue
-                terms.append((m1 * step, _mac({}, c1, c2), v1 + v2))
+        for term in block:
+            terms.append(term)
+            m1, c1, v1 = term
+            e1, h1 = m1._e, m1._hash
+            for deltas, h2, c2, v2 in factor:
+                e = e1.copy()
+                for k, v in deltas:
+                    v += e.get(k, 0)
+                    if v:
+                        e[k] = v
+                    else:
+                        del e[k]
+                # a unit coefficient is copied, not convolved
+                cc = c1.copy() if c2 is None else _mac({}, c1, *c2)
+                terms.append((Monomial._raw(e, (h1 + h2) % _HASH_MOD), cc, v1 + v2))
         block = terms
     return block
 
@@ -451,25 +458,41 @@ def e_expansion(d: DynkinDiagram, m: Monomial, i: int) -> Character:
 def e_decompose(d: DynkinDiagram, chi: Character, i: int) -> List[Tuple[Monomial, IntLaurent]]:
     """Write chi as a combination of rank-one blocks in direction i.
 
-    Repeatedly takes a monomial of maximal height (hence maximal for the
-    order), requires it to be i-dominant, and strips its block.  Raises
-    NotDecomposableError when a maximal remaining monomial is not i-dominant,
-    and CapExceededError past QCHAR_MAX_TERMS blocks.
+    Takes the monomials in descending (height, sort_key) order, hence each
+    maximal for the order among those left; each must be i-dominant, and its
+    block is stripped.  A block's other terms lie at least one drop, so 2 in
+    height, below its head, so the heads of one height never touch each
+    other: the monomials are filed by height, a block term under its head's
+    height less twice its drops, and each height is sorted once.  Raises
+    NotDecomposableError at a monomial that is not i-dominant, and
+    CapExceededError past QCHAR_MAX_TERMS blocks.
     """
     w = _height_weights(d)
     cap = env_cap()
-    rem = dict(chi._t)
+    rem = {m: dict(c._c) for m, c in chi._t.items()}  # raw, updated in place
+    levels: Dict[int, set] = {}
+    for m in rem:
+        levels.setdefault(_height(w, m), set()).add(m)
     blocks: List[Tuple[Monomial, IntLaurent]] = []
     table: dict = {}
-    while rem:
-        if len(blocks) >= cap:
-            raise CapExceededError(f"block extraction exceeded {cap} blocks")
-        top = max(rem, key=lambda m: (_height(w, m), m.sort_key()))
-        if not top.is_i_dominant(i):
-            raise NotDecomposableError(f"maximal monomial {top} is not {i}-dominant")
-        c = rem[top]
-        blocks.append((top, c))
-        _axpy(rem, {m: IntLaurent(cc) for m, cc, _ in _block(d, top, i, table, c._c)}, -1)
+    while levels:
+        h = max(levels)
+        for top in sorted(levels.pop(h), key=Monomial.sort_key, reverse=True):
+            c = rem.pop(top, None)
+            if c is None:  # cancelled by a higher block
+                continue
+            if len(blocks) >= cap:
+                raise CapExceededError(f"block extraction exceeded {cap} blocks")
+            if not top.is_i_dominant(i):
+                raise NotDecomposableError(f"maximal monomial {top} is not {i}-dominant")
+            blocks.append((top, IntLaurent._raw(c)))
+            for m, cc, drops in islice(_block(d, top, i, table, c), 1, None):
+                acc = rem.get(m)
+                if acc is None:
+                    acc = rem[m] = {}
+                    levels.setdefault(h - 2 * sum(r for _, r in drops), set()).add(m)
+                if not _axpy(acc, cc, -1):
+                    del rem[m]
     return blocks
 
 

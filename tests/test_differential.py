@@ -3,7 +3,9 @@ factor lists: standard_character, the left fold of twisted_product over the
 admissibly ordered roots, and standard_char_tableaux must agree, and so must
 the plain product of the interaction classes' characters.  The t = 1 totals
 and the classes' support sizes multiply.  The drop profiles the closure
-carries must be the solved ones."""
+carries must be the solved ones.  Both routes' characters satisfy the
+paper's axiom: in every direction they split into rank-one blocks with
+coefficients in Z[t^2, t^-2]."""
 
 from math import comb, prod
 
@@ -25,6 +27,7 @@ from qtchar.yalgebra import (
     Monomial,
     Spectral,
     drop_degree,
+    e_decompose,
     specialize_t,
     v_profile,
 )
@@ -167,3 +170,60 @@ def test_carried_profiles_are_the_solved_profiles(case):
     for m, _, v in terms:
         assert v == v_profile(d, m, f.top)
         assert sum(v.values()) == drop_degree(d, m, f.top)
+
+
+AXIOM_DIAGRAMS = tuple(DynkinDiagram.type_a(n) for n in range(1, 5)) + (
+    DynkinDiagram.type_d(4),
+    DynkinDiagram.type_d(5),
+)
+
+
+@st.composite
+def small_products(draw):
+    d = draw(st.sampled_from(AXIOM_DIAGRAMS))
+    roots = []
+    for _ in range(draw(st.integers(1, 2))):
+        a = Spectral(draw(st.sampled_from("ab")), draw(st.integers(-3, 3)))
+        roots.append((draw(st.sampled_from(d.nodes)), a))
+    return d, DrinfeldData(roots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_products())
+def test_both_routes_split_into_blocks_in_every_direction(case):
+    """The paper's axiom: in every direction the character is a combination
+    of rank-one blocks with coefficients in Z[t^2, t^-2].  A fundamental's
+    coefficients lie in N[t^2, t^-2].  At t = 1 the blocks multiply,
+    E(m) E(m') = E(m m'), and so do the characters, so a product's
+    coefficients are nonnegative there; at generic t they need not be (see
+    the next test)."""
+    d, p = case
+    tableaux = tableaux_a if d.kind == "A" else tableaux_d
+    chi = standard_character(d, p)
+    # one check serves both routes: their characters are equal
+    assert chi == tableaux.standard_char_tableaux(d, p)
+    for i in d.nodes:
+        blocks = e_decompose(d, chi, i)
+        assert blocks
+        for _, c in blocks:
+            assert all(e % 2 == 0 for e, _ in c.items()), c
+            assert c.eval_at(1) >= 0, c
+            if len(p) == 1:
+                assert all(v > 0 for _, v in c.items()), c
+
+
+def test_a_product_block_coefficient_can_be_t2_minus_1():
+    """D5 Y(1,a) Y(3,a) in direction 1: the block at Y(2,aq) Y(2,aq^7)^-1
+    has coefficient t^2 - 1.  It is the rank-one Kirillov-Reshetikhin piece
+    E(Y(1,b) Y(1,bq^2)) - E(1) plus a trivial piece t^2 E(1), so it vanishes
+    at t = 1; both routes and both product orders give this character."""
+    d = DynkinDiagram.type_d(5)
+    f1, f3 = FundamentalSpec(1, Spectral("a", 0)), FundamentalSpec(3, Spectral("a", 0))
+    chi = standard_character(d, DrinfeldData([f1, f3]))
+    assert chi == tableaux_d.standard_char_tableaux(d, DrinfeldData([f1, f3]))
+    c1, c3 = fundamental_character(d, f1), fundamental_character(d, f3)
+    assert chi == twisted_product(c3, f3.top, c1, f1.top, d)
+    head = Monomial.from_factors([(2, Spectral("a", 1), 1), (2, Spectral("a", 7), -1)])
+    blocks = dict(e_decompose(d, chi, 1))
+    assert blocks[head] == IntLaurent({0: -1, 2: 1})
+    assert [c for c in blocks.values() if any(v < 0 for _, v in c.items())] == [blocks[head]]

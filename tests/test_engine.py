@@ -351,10 +351,14 @@ def test_product_loops_build_no_monomial_through_init(d5, monkeypatch):
         Monomial, "__init__", lambda self, exps=None: inits.append(exps) or real_init(self, exps)
     )
     walked = tableaux_a._tableaux_sum(
-        d5, DrinfeldData(fs), lambda n, f: cols[f], lambda xs, ys: tables[(xs[0][0], ys[0][0])]
+        d5,
+        DrinfeldData(fs),
+        lambda n, f: len(cols[f]),
+        lambda n, f: cols[f],
+        lambda xs, ys: tables[(xs[0][0], ys[0][0])],
     )
-    folded = engine._unit()
-    for right, mp in zip(terms, tops):
+    folded = engine._start(terms[0])
+    for right, mp in zip(terms[1:], tops[1:]):
         folded = engine._fold(folded, right, mp)
     assert inits == []
     assert walked == expected and Character._from_raw(d5, engine._raw(folded)) == expected
@@ -385,6 +389,24 @@ def test_product_loops_build_no_monomial_through_init(d5, monkeypatch):
     assert in_times and set(in_times) == {0}
     assert all(exps in top_maps for exps in inits)
     assert chi == expected
+
+
+def test_each_class_fold_starts_at_its_first_factor(d5, monkeypatch):
+    calls = []
+    for name in ("_fold", "_twist_exponent"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(
+            engine, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    # one class of two roots folds once; the two classes of one root fold never
+    p = DrinfeldData(parse_factors(d5, "1:a:0,1:a:2,1:a:1,1:b:0"))
+    assert [len(cls) for cls in p.classes(d5)] == [2, 1, 1]
+    assert standard_character(d5, p) == tableaux_d.standard_char_tableaux(d5, p)
+    assert calls.count("_fold") == 1
+    calls.clear()
+    p = DrinfeldData(parse_factors(d5, "1:a:0,1:b:0"))
+    assert standard_character(d5, p) == tableaux_d.standard_char_tableaux(d5, p)
+    assert calls == []
 
 
 def test_standard_character_worked_example_one(a2):

@@ -98,6 +98,15 @@ def test_counts_formula_agrees():
         assert tableau_monomial(n, t) == tableau_monomial_by_counts(n, t)
 
 
+def test_strict_count_is_the_enumeration_length():
+    for n in range(1, 9):
+        for N in range(1, n + 1):
+            assert tableaux_a._strict_count(n, N) == len(enumerate_fundamental_columns(n, N, q(0)))
+    for N in (0, 3):
+        with pytest.raises(OutOfRangeError, match=f"^column length {N} outside 1..2$"):
+            tableaux_a._strict_count(2, N)
+
+
 def test_enumerations():
     assert len(enumerate_fundamental_columns(2, 1, q(0))) == 3
     assert [c.entries for c in enumerate_fundamental_columns(2, 2, q(0))] == [

@@ -4,7 +4,7 @@ import pytest
 
 from qtchar import tableaux_a, tableaux_d
 from qtchar.engine import FundamentalSpec, fundamental_character, standard_character
-from qtchar.errors import OutOfRangeError, QtcharError
+from qtchar.errors import CapExceededError, OutOfRangeError, QtcharError
 from qtchar.laurent import ONE, IntLaurent
 from qtchar.rootdata import DynkinDiagram
 from qtchar.tableaux_a import AColumn
@@ -131,6 +131,45 @@ def test_enumerations():
     # alternation of the incomparable pair is allowed
     entries = {c.entries for c in enumerate_fundamental_columns(5, 3, q(0))}
     assert (Letter(5), bar(5), Letter(5)) in entries
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_closed_counts_are_the_enumeration_lengths(n):
+    for node in range(1, n + 1):
+        f = FundamentalSpec(node, q(0))
+        cols = tableaux_d._columns(n, f)
+        assert tableaux_d._count(n, f) == len(cols)
+        if node <= n - 2:
+            assert tableaux_d._vector_count(n, node) == len(cols)
+        else:
+            assert tableaux_d._spin_count(n, "+" if node == n else "-") == len(cols)
+
+
+def test_pool_sizes_are_refused_before_any_column_is_built(monkeypatch):
+    built = []
+    real = tableaux_a.Column.__init__
+    monkeypatch.setattr(
+        tableaux_a.Column, "__init__", lambda self, *args: built.append(args) or real(self, *args)
+    )
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "100")
+    d16, a16, q0 = DynkinDiagram.type_d(16), DynkinDiagram.type_a(16), q(0)
+    over = "tableaux sum exceeded 100 terms"
+    refusals = [
+        (lambda: spin_char(d16, q0, "+"), f"{over}: 32768"),
+        (lambda: fundamental_char_tableaux(d16, 2, q0), f"{over}: 497"),
+        (lambda: tableaux_a.fundamental_char_tableaux(a16, 8, q0), f"{over}: 24310"),
+        (
+            lambda: standard_char_tableaux(d16, DrinfeldData([(16, q0), (1, q(1))])),
+            "tableaux product of 2 factors exceeded 100 terms: 1048576",
+        ),
+    ]
+    for call, message in refusals:
+        with pytest.raises(CapExceededError, match=f"^{message}$"):
+            call()
+    assert built == []
+    # the counter sees the columns a call under the cap builds
+    spin_char(DynkinDiagram.type_d(4), q0, "+")
+    assert len(built) == 8
 
 
 def test_spin_enumeration():
