@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import CapExceededError, OutOfRangeError, env_cap
 from .rootdata import DynkinDiagram
 from .yalgebra import Character, DrinfeldData, FundamentalSpec, Monomial, Raw, Spectral
-from .yalgebra import _class_product
+from .yalgebra import _HASH_MOD, _class_product
 
 
 class Column:
@@ -133,30 +133,76 @@ def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[AColumn]:
     return [AColumn(c, a) for c in combinations(range(1, n + 2), N)]
 
 
+def _columns(n: int, f: FundamentalSpec) -> List[AColumn]:
+    """The columns realizing the factor f."""
+    return enumerate_fundamental_columns(n, f.node, f.spectral)
+
+
 PoolRow = Tuple[Column, Monomial, int]
 
+# Columns reach their spectral parameters only through their centre, so each
+# shape (enumerator, rank, node) is built once at this centre (see _pool).
+_REFERENCE = Spectral("ref", 0)
+# The most template rows the cache holds at once: every pool of the benchmark
+# ladders together (the largest, D7 node 4, has 1093 rows).  A larger pool is
+# built for its call alone; a template that does not fit empties the cache.
+_TEMPLATE_ROWS = 4096
+_templates: Dict[tuple, tuple] = {}
 
-def _pool(n: int, cols: Iterable[Column]) -> List[PoolRow]:
-    """One (column, monomial, l-degree) row per column."""
-    return [(col, column_monomial(n, col), col.l_degree(n)) for col in cols]
+
+def _pool(n: int, columns: Callable, f: FundamentalSpec) -> List[PoolRow]:
+    """One (column, monomial, l-degree) row per column of columns(n, f).
+
+    The shape's template holds, from its columns at _REFERENCE, their kind,
+    the distinct variables (node, qexp) and per column its entries, (variable
+    position, exponent) pairs and l-degree.  A call maps the variables once to
+    f's base and shift, then re-keys each row and builds its column at f."""
+    key = (columns, n, f.node)
+    template = _templates.get(key)
+    if template is None:
+        cols = columns(n, FundamentalSpec(f.node, _REFERENCE))
+        index, pairs, rows = {}, {}, []  # pairs keeps one object per equal pair
+        for col in cols:
+            items = []
+            for (i, b), v in column_monomial(n, col)._e.items():
+                pair = (index.setdefault((i, b.qexp), len(index)), v)
+                items.append(pairs.setdefault(pair, pair))
+            rows.append((col.entries, tuple(items), col.l_degree(n)))
+        template = (type(cols[0]), tuple(index), rows)
+        if len(rows) <= _TEMPLATE_ROWS:
+            if sum(len(t[2]) for t in _templates.values()) + len(rows) > _TEMPLATE_ROWS:
+                _templates.clear()
+            _templates[key] = template
+    kind, variables, rows = template
+    a = f.spectral
+    keys = [(i, Spectral(a.base, k + a.qexp)) for i, k in variables]
+    terms = [x * x + x for x in map(hash, keys)]  # each variable's hash term
+    pool = []
+    for entries, items, deg in rows:
+        e = {}
+        h = 0
+        for j, v in items:
+            e[keys[j]] = v
+            h += v * terms[j]
+        pool.append((kind(entries, a), Monomial._raw(e, h % _HASH_MOD), deg))
+    return pool
 
 
-def _column_sum(d: DynkinDiagram, size: int, columns: Callable[[], List[Column]]) -> Character:
-    """Sum of t^(2 l) m over the pool rows of the size columns that columns()
-    enumerates.  Raises CapExceededError past QCHAR_MAX_TERMS columns, before
-    any is enumerated."""
+def _column_sum(d: DynkinDiagram, size: int, columns: Callable, f: FundamentalSpec) -> Character:
+    """Sum of t^(2 l) m over the pool rows of the size columns realizing f.
+    Raises CapExceededError past QCHAR_MAX_TERMS columns, before any is
+    enumerated."""
     cap = env_cap()
     if size > cap:
         raise CapExceededError(f"tableaux sum exceeded {cap} terms: {size}")
-    return Character._from_raw(d, _walk([_pool(d.rank, columns())], [[]]))
+    return Character._from_raw(d, _walk([_pool(d.rank, columns, f)], [[]]))
 
 
 def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Character:
     """Sum of column monomials over the strict columns, all coefficients 1."""
     if d.kind != "A":
         raise OutOfRangeError("type A tableaux need a type A diagram")
-    n = d.rank
-    return _column_sum(d, _strict_count(n, N), lambda: enumerate_fundamental_columns(n, N, a))
+    return _column_sum(d, _strict_count(d.rank, N), _columns, FundamentalSpec(N, a))
 
 
 def s_offset(ca: AColumn, cb: AColumn) -> Optional[int]:
@@ -245,15 +291,15 @@ def _tableaux_sum(
     d: DynkinDiagram,
     p: DrinfeldData,
     count: Callable[[int, FundamentalSpec], int],
-    columns: Callable[[int, FundamentalSpec], Iterable[Column]],
+    columns: Callable[[int, FundamentalSpec], List[Column]],
     twist_table: Callable[[Sequence[PoolRow], Sequence[PoolRow]], List[List[int]]],
 ) -> Character:
     """Sum of t^(2 sum l + 2 sum twist) m_T over tableaux with one column per root of p.
 
     columns(n, f) gives the count(n, f) columns realizing the factor f, and
-    each distinct factor's pool of (column, monomial, l-degree) rows is built
-    once; twist_table(xs, ys)[j][k] is the pair statistic of the ordered
-    column pair (xs[j], ys[k]).  Twists vanish across interaction classes
+    each distinct factor's pool of (column, monomial, l-degree) rows is taken
+    once from _pool; twist_table(xs, ys)[j][k] is the pair statistic of the
+    ordered column pair (xs[j], ys[k]).  Twists vanish across interaction classes
     (DrinfeldData.classes), so each class is walked on its own, with one
     table per pool pair alpha < beta, and the classes' sums multiply with no
     twist.  Raises CapExceededError, before any column is enumerated, when
@@ -267,7 +313,7 @@ def _tableaux_sum(
         raise CapExceededError(
             f"tableaux product of {len(p)} factors exceeded {cap} terms: {size}"
         )
-    pool = {f: _pool(n, columns(n, f)) for f in dict.fromkeys(p.roots)}
+    pool = {f: _pool(n, columns, f) for f in dict.fromkeys(p.roots)}
 
     def walk(cls: DrinfeldData) -> Raw:
         ps = [pool[f] for f in cls.roots]
@@ -281,13 +327,7 @@ def standard_char_tableaux(d: DynkinDiagram, p: DrinfeldData) -> Character:
     """Tableaux sum for a product module: sum of t^(2d(T)) m_T, d from d_columns."""
     if d.kind != "A":
         raise OutOfRangeError("type A tableaux need a type A diagram")
-    return _tableaux_sum(
-        d,
-        p,
-        lambda n, f: _strict_count(n, f.node),
-        lambda n, f: enumerate_fundamental_columns(n, f.node, f.spectral),
-        _d_table,
-    )
+    return _tableaux_sum(d, p, lambda n, f: _strict_count(n, f.node), _columns, _d_table)
 
 
 # ---------------------------------------------------------------------------

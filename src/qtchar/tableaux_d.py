@@ -184,17 +184,21 @@ def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[DColumn]:
     """All admissible vector columns of length N at center a."""
     _vector_count(n, N)  # refuses N outside 1..n-2
     letters = alphabet(n)
+    # after[j]: the positions of the letters that may follow letters[j]
+    after = [[k for k, x in enumerate(letters) if not preceq(n, x, y)] for y in letters]
     cols: List[DColumn] = []
+    prefix: List[Letter] = []
 
-    def extend(prefix: List[Letter]):
+    def extend(options: Sequence[int]):
         if len(prefix) == N:
             cols.append(DColumn(prefix, a))
             return
-        for x in letters:
-            if not prefix or not preceq(n, x, prefix[-1]):
-                extend(prefix + [x])
+        for k in options:
+            prefix.append(letters[k])
+            extend(after[k])
+            prefix.pop()
 
-    extend([])
+    extend(range(len(letters)))
     return cols
 
 
@@ -202,8 +206,7 @@ def fundamental_char_tableaux(d: DynkinDiagram, N: int, a: Spectral) -> Characte
     """Vector fundamental: sum of t^(2 l(T)) m_T over admissible columns."""
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
-    n = d.rank
-    return _column_sum(d, _vector_count(n, N), lambda: enumerate_fundamental_columns(n, N, a))
+    return _column_sum(d, _vector_count(d.rank, N), _columns, FundamentalSpec(N, a))
 
 
 def _spin_count(n: int, chirality: str) -> int:
@@ -238,7 +241,8 @@ def spin_char(d: DynkinDiagram, a: Spectral, chirality: str) -> Character:
     if d.kind != "D":
         raise OutOfRangeError("type D tableaux need a type D diagram")
     n = d.rank
-    return _column_sum(d, _spin_count(n, chirality), lambda: enumerate_spin(n, a, chirality))
+    f = FundamentalSpec(n if chirality == "+" else n - 1, a)
+    return _column_sum(d, _spin_count(n, chirality), _columns, f)
 
 
 def spin_flip(n: int, col: SpinColumn, p: int) -> Optional[SpinColumn]:
@@ -410,10 +414,12 @@ def d_tableau(d: DynkinDiagram, t: DTableau, p: DrinfeldData) -> int:
     n = d.rank
     if len(p.roots) != len(t):
         raise QtcharError("tableau width differs from the factor count")
+    rows = []
     for f, col in zip(p.roots, t):
-        if col not in _columns(n, f):
+        row = [r for r in _pool(n, _columns, f) if r[0] == col]
+        if not row:
             raise QtcharError(f"column {col} does not realize factor {f}")
-    rows = _pool(n, t)
+        rows.append(row[0])
     return sum(
         _twist_table(n, [rows[a]], [rows[b]])[0][0] for b in range(len(rows)) for a in range(b)
     )

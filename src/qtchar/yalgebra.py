@@ -307,13 +307,16 @@ class Character:
     @staticmethod
     def _from_raw(diagram: DynkinDiagram, terms: Raw) -> "Character":
         """A character on raw terms, built once and unchecked; a map that holds
-        a zero (signed inputs can cancel) is filtered first."""
-        out = {}
+        a zero (signed inputs can cancel) is filtered first.  Equal maps share
+        one IntLaurent: a sum's terms carry few distinct coefficients."""
+        out, shared = {}, {}
         for m, c in terms.items():
-            if 0 in c.values():
-                c = {e: v for e, v in c.items() if v}
-            if c:
-                out[m] = IntLaurent._raw(c)
+            key = tuple(c.items())
+            p = shared.get(key)
+            if p is None:
+                p = shared[key] = IntLaurent._raw({e: v for e, v in key if v})
+            if p._c:
+                out[m] = p
         return Character._raw(diagram, out)
 
     @staticmethod

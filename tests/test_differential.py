@@ -2,11 +2,13 @@
 factor lists: standard_character, the left fold of twisted_product over the
 admissibly ordered roots, and standard_char_tableaux must agree, and so must
 the plain product of the interaction classes' characters.  The t = 1 totals
-and the classes' support sizes multiply.  The drop profiles the closure
-carries must be the solved ones.  Both routes' characters satisfy the
-paper's axiom: in every direction they split into rank-one blocks with
+and the classes' support sizes multiply; in type A the totals are products of
+Weyl dimensions.  Characters survive the JSON round trip.  The drop profiles
+the closure carries must be the solved ones.  Both routes' characters satisfy
+the paper's axiom: in every direction they split into rank-one blocks with
 coefficients in Z[t^2, t^-2]."""
 
+import json
 from math import comb, prod
 
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,8 @@ from qtchar.yalgebra import (
     FundamentalSpec,
     Monomial,
     Spectral,
+    character_from_json,
+    character_to_json,
     drop_degree,
     e_decompose,
     specialize_t,
@@ -36,8 +40,10 @@ DIAGRAMS = (
     DynkinDiagram.type_a(2),
     DynkinDiagram.type_a(3),
     DynkinDiagram.type_a(4),
+    DynkinDiagram.type_a(5),
     DynkinDiagram.type_d(4),
     DynkinDiagram.type_d(5),
+    DynkinDiagram.type_d(6),
 )
 # the most tableaux (the product of the factors' pool sizes) one example sums
 BUDGET = 2000
@@ -63,8 +69,17 @@ def factor_lists(draw):
         if not nodes:
             break
         node = draw(st.sampled_from(nodes))
-        roots.append((node, Spectral(draw(st.sampled_from("ab")), draw(st.integers(-3, 3)))))
+        roots.append((node, Spectral(draw(st.sampled_from("ab")), draw(st.integers(-4, 4)))))
     return d, DrinfeldData(roots)
+
+
+def weyl_dimension_a(n: int, node: int) -> int:
+    """Weyl's product formula for the A_n fundamental weight omega_node, the
+    partition (1^node): prod over i < j of (l_i - l_j + j - i) / (j - i)."""
+    part = [1] * node + [0] * (n + 1 - node)
+    num = prod(part[i] - part[j] + j - i for i in range(n + 1) for j in range(i + 1, n + 1))
+    den = prod(j - i for i in range(n + 1) for j in range(i + 1, n + 1))
+    return num // den
 
 
 def test_pool_sizes_are_the_fundamental_dimensions():
@@ -72,6 +87,9 @@ def test_pool_sizes_are_the_fundamental_dimensions():
         for i in d.nodes:
             chi = fundamental_character(d, FundamentalSpec(i, Spectral("a", 0)))
             assert sum(specialize_t(chi, 1).values()) == pool_size(d, i)
+            # type A fundamental modules stay irreducible under the finite algebra
+            if d.kind == "A":
+                assert pool_size(d, i) == weyl_dimension_a(d.rank, i)
 
 
 def twisted_fold(d: DynkinDiagram, p: DrinfeldData) -> Character:
@@ -111,7 +129,11 @@ def test_standard_character_is_the_twisted_fold_and_the_tableaux_sum(case):
     tableaux = tableaux_a if d.kind == "A" else tableaux_d
     assert chi == tableaux.standard_char_tableaux(d, p)
     # at t = 1 the character is the product of its factors' dimensions
-    assert sum(specialize_t(chi, 1).values()) == prod(pool_size(d, f.node) for f in p.roots)
+    total = sum(specialize_t(chi, 1).values())
+    assert total == prod(pool_size(d, f.node) for f in p.roots)
+    if d.kind == "A":
+        assert total == prod(weyl_dimension_a(d.rank, f.node) for f in p.roots)
+    assert character_from_json(d, json.loads(json.dumps(character_to_json(chi)))) == chi
 
 
 @settings(max_examples=40, deadline=None)

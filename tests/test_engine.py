@@ -332,8 +332,8 @@ def test_engine_builds_each_invariant_once(d5, monkeypatch):
 def test_product_loops_build_no_monomial_through_init(d5, monkeypatch):
     fs = DrinfeldData(parse_factors(d5, "1:a:0,2:a:1,spin+:a:2")).roots
     n = d5.rank
-    cols = {f: tableaux_d._columns(n, f) for f in fs}
-    pools = [tableaux_d._pool(n, cols[f]) for f in fs]
+    tableaux_a._templates.clear()
+    pools = [tableaux_d._pool(n, tableaux_d._columns, f) for f in fs]
     tables = {
         (pools[a][0][0], pools[b][0][0]): tableaux_d._twist_table(n, pools[a], pools[b])
         for b in range(len(pools))
@@ -353,8 +353,8 @@ def test_product_loops_build_no_monomial_through_init(d5, monkeypatch):
     walked = tableaux_a._tableaux_sum(
         d5,
         DrinfeldData(fs),
-        lambda n, f: len(cols[f]),
-        lambda n, f: cols[f],
+        tableaux_d._count,
+        tableaux_d._columns,
         lambda xs, ys: tables[(xs[0][0], ys[0][0])],
     )
     folded = engine._start(terms[0])

@@ -30,7 +30,7 @@ from qtchar.tableaux_a import (
     tableau_to_json,
 )
 from qtchar.cli import d_columns_via_pairing
-from qtchar.yalgebra import DrinfeldData, Monomial, Spectral, v_profile
+from qtchar.yalgebra import Character, DrinfeldData, Monomial, Spectral, v_profile
 
 from conftest import q, ym
 
@@ -353,19 +353,83 @@ def test_tableaux_product_cap(monkeypatch):
                 call(*args)
 
 
-def test_each_distinct_factor_builds_one_pool(monkeypatch):
+def test_each_distinct_shape_builds_one_template(monkeypatch):
     a4, d5 = DynkinDiagram.type_a(4), DynkinDiagram.type_d(5)
-    # four roots of three distinct factors, and two equal spin roots
+    # four roots of two shapes (1:b:0 is shape 1 under another base), and
+    # two equal spin roots of one shape
     cases = [
         (a4, DrinfeldData([(1, q(0)), (2, q(0)), (2, q(0)), (1, Spectral("b", 0))]),
-         tableaux_a, "enumerate_fundamental_columns", 3),
+         tableaux_a, "enumerate_fundamental_columns", 2),
         (d5, DrinfeldData([(5, q(0)), (5, q(0))]), tableaux_d, "enumerate_spin", 1),
     ]
-    for d, p, module, name, pools in cases:
+    tableaux_a._templates.clear()
+    for d, p, module, name, templates in cases:
         expected = standard_character(d, p)
         calls = []
         real = getattr(module, name)
         with monkeypatch.context() as m:
             m.setattr(module, name, lambda *args, real=real: calls.append(args) or real(*args))
             assert module.standard_char_tableaux(d, p) == expected
-        assert len(calls) == pools
+            assert len(calls) == templates
+            # a second call translates the retained templates
+            assert module.standard_char_tableaux(d, p) == expected
+        assert len(calls) == templates
+
+
+def direct_pool(n, columns, f):
+    """The pool rows of f's columns, each built on its own."""
+    return [(col, column_monomial(n, col), col.l_degree(n)) for col in columns(n, f)]
+
+
+def test_translated_pools_are_the_directly_built_pools():
+    # every node of A1-A8 and D4-D8 (so both spin chiralities), at centres
+    # apart from the reference centre in base and shift
+    shapes = [(tableaux_a._columns, n, node) for n in range(1, 9) for node in range(1, n + 1)]
+    shapes += [(tableaux_d._columns, n, node) for n in range(4, 9) for node in range(1, n + 1)]
+    tableaux_a._templates.clear()
+    for columns, n, node in shapes:
+        for a in (q(0), q(-3), q(5, "b")):
+            f = FundamentalSpec(node, a)
+            pool = tableaux_a._pool(n, columns, f)
+            direct = direct_pool(n, columns, f)
+            assert len(pool) == len(direct)
+            for (col, m, deg), (col2, m2, deg2) in zip(pool, direct):
+                assert type(col) is type(col2) and col == col2
+                # the same map in the same order, and the hash __init__ gives
+                assert m == m2 and list(m._e.items()) == list(m2._e.items())
+                assert hash(m) == hash(Monomial(dict(m._e)))
+                assert deg == deg2
+
+
+def test_templates_stay_within_their_row_budget():
+    budget = tableaux_a._TEMPLATE_ROWS
+
+    def held():
+        return sum(len(t[2]) for t in tableaux_a._templates.values())
+
+    # a pool over the budget is computed, and not retained
+    tableaux_a._templates.clear()
+    a14, f = DynkinDiagram.type_a(14), FundamentalSpec(7, q(2))
+    assert tableaux_a._strict_count(14, 7) > budget
+    chi = tableaux_a.fundamental_char_tableaux(a14, 7, q(2))
+    assert chi == Character(a14, {m: ONE for _, m, _ in direct_pool(14, tableaux_a._columns, f)})
+    assert tableaux_a._templates == {}
+    # the benchmark ladders' shapes fit together (D7 node 4 is the largest)
+    ladder = [(tableaux_a._columns, 9, 5), (tableaux_d._columns, 6, 3),
+              (tableaux_d._columns, 6, 4), (tableaux_d._columns, 7, 4),
+              (tableaux_d._columns, 7, 6), (tableaux_d._columns, 7, 7),
+              (tableaux_a._columns, 4, 1), (tableaux_a._columns, 4, 2),
+              (tableaux_a._columns, 5, 2), (tableaux_a._columns, 5, 3),
+              (tableaux_a._columns, 6, 3), (tableaux_d._columns, 5, 1),
+              (tableaux_d._columns, 5, 2), (tableaux_d._columns, 5, 4),
+              (tableaux_d._columns, 5, 5), (tableaux_d._columns, 6, 1),
+              (tableaux_d._columns, 6, 2)]
+    for columns, n, node in ladder:
+        tableaux_a._pool(n, columns, FundamentalSpec(node, q(0)))
+    assert set(tableaux_a._templates) == set(ladder)
+    # a template that does not fit empties the cache: it never exceeds the budget
+    for node in range(1, 6):
+        tableaux_a._pool(7, tableaux_d._columns, FundamentalSpec(node, q(1)))
+        assert (tableaux_d._columns, 7, node) in tableaux_a._templates
+        assert held() <= budget
+    assert ladder[0] not in tableaux_a._templates

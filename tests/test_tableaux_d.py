@@ -163,13 +163,15 @@ def test_pool_sizes_are_refused_before_any_column_is_built(monkeypatch):
             "tableaux product of 2 factors exceeded 100 terms: 1048576",
         ),
     ]
+    tableaux_a._templates.clear()
     for call, message in refusals:
         with pytest.raises(CapExceededError, match=f"^{message}$"):
             call()
-    assert built == []
-    # the counter sees the columns a call under the cap builds
+    assert built == [] and tableaux_a._templates == {}
+    # the counter sees the columns a call under the cap builds: on a cold
+    # cache, the 8 columns of the template and the 8 translated to q0
     spin_char(DynkinDiagram.type_d(4), q0, "+")
-    assert len(built) == 8
+    assert len(built) == 16
 
 
 def test_spin_enumeration():

@@ -431,3 +431,24 @@ def test_character_arithmetic_needs_one_diagram(a2, d5):
     for combine in (lambda x, y: x + y, lambda x, y: x - y):
         with pytest.raises(QtcharError, match="arithmetic across"):
             combine(chi_d, chi_a)
+
+
+def test_from_raw_shares_equal_coefficients(a2):
+    raw = {
+        ym((1, 0)): {0: 1},
+        ym((2, 0)): {0: 1},
+        ym((1, 2)): {0: 1, 2: 1},
+        ym((2, 2)): {0: 1, 2: 1},
+        ym((1, 4)): {2: 0},
+        ym((2, 4)): {0: 1, 2: 0},
+    }
+    expected = Character(a2, {m: IntLaurent(c) for m, c in raw.items()})
+    chi = Character._from_raw(a2, {m: dict(c) for m, c in raw.items()})
+    assert chi == expected
+    # a map that cancels to zero is dropped, and a zero entry is filtered
+    assert ym((1, 4)) not in chi and 0 not in chi.coeff(ym((2, 4)))._c.values()
+    # one IntLaurent per distinct map
+    c = chi._t
+    assert c[ym((1, 0))] is c[ym((2, 0))] and c[ym((1, 2))] is c[ym((2, 2))]
+    assert c[ym((1, 0))] is not c[ym((1, 2))]
+    assert len({id(v) for v in c.values()}) == 3
