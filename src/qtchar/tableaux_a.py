@@ -140,12 +140,10 @@ def _columns(n: int, f: FundamentalSpec) -> List[AColumn]:
 
 PoolRow = Tuple[Column, Monomial, int]
 
-# Columns reach their spectral parameters only through their centre, so each
-# shape (enumerator, rank, node) is built once at this centre (see _pool).
-_REFERENCE = Spectral("ref", 0)
-# The most template rows the cache holds at once: every pool of the benchmark
-# ladders together (the largest, D7 node 4, has 1093 rows).  A larger pool is
-# built for its call alone; a template that does not fit empties the cache.
+# The most template rows _templates keeps: any one pool of A1-A13, D4-D9 or
+# the spin columns up to D13 fits (0.5 MiB at A13 node 7, 4.3 MiB at D13
+# spin).  The least recently used templates go first; a larger pool is built
+# for its call alone, as is.
 _TEMPLATE_ROWS = 4096
 _templates: Dict[tuple, tuple] = {}
 
@@ -153,28 +151,32 @@ _templates: Dict[tuple, tuple] = {}
 def _pool(n: int, columns: Callable, f: FundamentalSpec) -> List[PoolRow]:
     """One (column, monomial, l-degree) row per column of columns(n, f).
 
-    The shape's template holds, from its columns at _REFERENCE, their kind,
-    the distinct variables (node, qexp) and per column its entries, (variable
-    position, exponent) pairs and l-degree.  A call maps the variables once to
-    f's base and shift, then re-keys each row and builds its column at f."""
+    Columns reach their spectral parameters only through their centre, so a
+    shape (columns, n, node) is built once, at its first call's centre, and
+    kept as a template: the column kind, the distinct variables as (node,
+    qexp offset) and per column its entries, (variable position, exponent)
+    pairs and l-degree.  A later call maps the variables once to f's base and
+    shift, then re-keys each row and builds its column at f."""
     key = (columns, n, f.node)
-    template = _templates.get(key)
-    if template is None:
-        cols = columns(n, FundamentalSpec(f.node, _REFERENCE))
-        index, pairs, rows = {}, {}, []  # pairs keeps one object per equal pair
-        for col in cols:
-            items = []
-            for (i, b), v in column_monomial(n, col)._e.items():
-                pair = (index.setdefault((i, b.qexp), len(index)), v)
-                items.append(pairs.setdefault(pair, pair))
-            rows.append((col.entries, tuple(items), col.l_degree(n)))
-        template = (type(cols[0]), tuple(index), rows)
-        if len(rows) <= _TEMPLATE_ROWS:
-            if sum(len(t[2]) for t in _templates.values()) + len(rows) > _TEMPLATE_ROWS:
-                _templates.clear()
-            _templates[key] = template
-    kind, variables, rows = template
     a = f.spectral
+    template = _templates.pop(key, None)  # put back last: most recently used
+    if template is None:
+        pool = [(col, column_monomial(n, col), col.l_degree(n)) for col in columns(n, f)]
+        if len(pool) <= _TEMPLATE_ROWS:
+            index, pairs, rows = {}, {}, []  # pairs keeps one object per equal pair
+            for col, m, deg in pool:
+                items = []
+                for pair in m._e.items():
+                    pair = (index.setdefault(pair[0], len(index)), pair[1])
+                    items.append(pairs.setdefault(pair, pair))
+                rows.append((col.entries, tuple(items), deg))
+            variables = tuple((i, b.qexp - a.qexp) for i, b in index)
+            _templates[key] = (type(pool[0][0]), variables, rows)
+            while sum(len(t[2]) for t in _templates.values()) > _TEMPLATE_ROWS:
+                del _templates[next(iter(_templates))]
+        return pool
+    _templates[key] = template
+    kind, variables, rows = template
     keys = [(i, Spectral(a.base, k + a.qexp)) for i, k in variables]
     terms = [x * x + x for x in map(hash, keys)]  # each variable's hash term
     pool = []

@@ -414,12 +414,10 @@ def d_tableau(d: DynkinDiagram, t: DTableau, p: DrinfeldData) -> int:
     n = d.rank
     if len(p.roots) != len(t):
         raise QtcharError("tableau width differs from the factor count")
-    rows = []
     for f, col in zip(p.roots, t):
-        row = [r for r in _pool(n, _columns, f) if r[0] == col]
-        if not row:
+        if col not in _columns(n, f):
             raise QtcharError(f"column {col} does not realize factor {f}")
-        rows.append(row[0])
+    rows = [(col, column_monomial(n, col), col.l_degree(n)) for col in t]
     return sum(
         _twist_table(n, [rows[a]], [rows[b]])[0][0] for b in range(len(rows)) for a in range(b)
     )

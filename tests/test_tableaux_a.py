@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from itertools import product
+from pathlib import Path
 from typing import Dict, Tuple
 
 import pytest
@@ -382,15 +384,19 @@ def direct_pool(n, columns, f):
 
 
 def test_translated_pools_are_the_directly_built_pools():
-    # every node of A1-A8 and D4-D8 (so both spin chiralities), at centres
-    # apart from the reference centre in base and shift
+    # every node of A1-A8 and D4-D8 (so both spin chiralities): the first call
+    # builds the pool and its template at cq^2, the later ones translate it
+    # to other bases and shifts (D8 nodes 5 and 6 exceed the budget and are
+    # built directly each time)
     shapes = [(tableaux_a._columns, n, node) for n in range(1, 9) for node in range(1, n + 1)]
     shapes += [(tableaux_d._columns, n, node) for n in range(4, 9) for node in range(1, n + 1)]
     tableaux_a._templates.clear()
     for columns, n, node in shapes:
-        for a in (q(0), q(-3), q(5, "b")):
+        for a in (q(2, "c"), q(0), q(-3), q(5, "b")):
             f = FundamentalSpec(node, a)
             pool = tableaux_a._pool(n, columns, f)
+            retained = (columns, n, node) in tableaux_a._templates
+            assert retained == (len(pool) <= tableaux_a._TEMPLATE_ROWS)
             direct = direct_pool(n, columns, f)
             assert len(pool) == len(direct)
             for (col, m, deg), (col2, m2, deg2) in zip(pool, direct):
@@ -399,6 +405,21 @@ def test_translated_pools_are_the_directly_built_pools():
                 assert m == m2 and list(m._e.items()) == list(m2._e.items())
                 assert hash(m) == hash(Monomial(dict(m._e)))
                 assert deg == deg2
+
+
+def benchmark_shapes():
+    """The pool shapes of the benchmark's route ladders, read from perfbench."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "cases.py"
+    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    large, rounds = cases.build_inputs("tableaux", 1)
+    columns = {"A": tableaux_a._columns, "D": tableaux_d._columns}
+    return {
+        (columns[c.d.kind], c.d.rank, f.node)
+        for c in large + [x.case for x in rounds[0]]
+        for f in c.specs
+    }
 
 
 def test_templates_stay_within_their_row_budget():
@@ -414,22 +435,18 @@ def test_templates_stay_within_their_row_budget():
     chi = tableaux_a.fundamental_char_tableaux(a14, 7, q(2))
     assert chi == Character(a14, {m: ONE for _, m, _ in direct_pool(14, tableaux_a._columns, f)})
     assert tableaux_a._templates == {}
-    # the benchmark ladders' shapes fit together (D7 node 4 is the largest)
-    ladder = [(tableaux_a._columns, 9, 5), (tableaux_d._columns, 6, 3),
-              (tableaux_d._columns, 6, 4), (tableaux_d._columns, 7, 4),
-              (tableaux_d._columns, 7, 6), (tableaux_d._columns, 7, 7),
-              (tableaux_a._columns, 4, 1), (tableaux_a._columns, 4, 2),
-              (tableaux_a._columns, 5, 2), (tableaux_a._columns, 5, 3),
-              (tableaux_a._columns, 6, 3), (tableaux_d._columns, 5, 1),
-              (tableaux_d._columns, 5, 2), (tableaux_d._columns, 5, 4),
-              (tableaux_d._columns, 5, 5), (tableaux_d._columns, 6, 1),
-              (tableaux_d._columns, 6, 2)]
-    for columns, n, node in ladder:
+    # the benchmark ladders' shapes are all retained together
+    shapes = sorted(benchmark_shapes(), key=lambda s: (s[0].__module__, s[1], s[2]))
+    for columns, n, node in shapes:
         tableaux_a._pool(n, columns, FundamentalSpec(node, q(0)))
-    assert set(tableaux_a._templates) == set(ladder)
-    # a template that does not fit empties the cache: it never exceeds the budget
-    for node in range(1, 6):
-        tableaux_a._pool(7, tableaux_d._columns, FundamentalSpec(node, q(1)))
-        assert (tableaux_d._columns, 7, node) in tableaux_a._templates
+    assert list(tableaux_a._templates) == shapes
+    # a new shape evicts the least recently used templates first, and the
+    # cache never holds more than the budget
+    first, second = shapes[0], shapes[1]
+    tableaux_a._pool(first[1], first[0], FundamentalSpec(first[2], q(1)))
+    tableaux_a._pool(9, tableaux_d._columns, FundamentalSpec(4, q(1)))  # 3214 rows
+    assert first in tableaux_a._templates and second not in tableaux_a._templates
+    for node in range(1, 5):
+        tableaux_a._pool(9, tableaux_d._columns, FundamentalSpec(node, q(2)))
+        assert (tableaux_d._columns, 9, node) in tableaux_a._templates
         assert held() <= budget
-    assert ladder[0] not in tableaux_a._templates
