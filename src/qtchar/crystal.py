@@ -15,7 +15,7 @@ from operator import sub
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import CapExceededError, NotInParitySetError, NotLDominantError, QtcharError, env_cap
-from .rootdata import DynkinDiagram, bipartite_coloring, simple_root
+from .rootdata import DynkinDiagram, _tree_edges, bipartite_coloring, simple_root
 from .yalgebra import Monomial, Spectral, _edge_key, _to_dot, a_monomial
 
 _FLAT = (0, 0, None, None)  # (eps, phi, p_index, q_index) at a node absent from m
@@ -246,14 +246,8 @@ def layer_from_orientation(
     if {(min(e), max(e)) for e in arrows} != set(d.edges):
         raise QtcharError("orientation must cover exactly the diagram edges")
     level = {1: 0}
-    stack = [1]
-    while stack:
-        i = stack.pop()
-        for j in d.neighbors(i):
-            step = 1 if (j, i) in arrows else -1
-            if j not in level:
-                level[j] = level[i] + step
-                stack.append(j)
+    for i, j in _tree_edges(d.neighbors):
+        level[j] = level[i] + (1 if (j, i) in arrows else -1)
     for i, j in arrows:
         if level[i] - level[j] != 1:
             raise QtcharError("orientation admits no unit-drop labeling")

@@ -235,6 +235,7 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
         down1 = _axpy(dict(da), db)  # m1's own down-shifted profile
         e1, h1 = m1._e, m1._hash
         for x2, h2, c2, tw, down2 in rows:
+            # Monomial._patched's loop, fused: the twist reads the same items
             e = e1.copy()
             for k, u in x2:
                 tw += down1.get(k, 0) * u
@@ -243,7 +244,7 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
                     e[k] = u
                 else:
                     del e[k]
-            key = Monomial._raw(e, (h1 + h2) % _HASH_MOD)
+            key = Monomial._raw(e, h1 + h2)
             entry = out.get(key)
             if entry is None:
                 entry = out[key] = ({}, (down1, down2))
@@ -335,10 +336,10 @@ def gamma_graph(chi: Character) -> GammaGraph:
     so if neither m1 nor m2 = m1 * A(i,a)^-1 held one, m2 would hold it.
 
     The support is indexed by its monomials' additive hashes: a drop
-    subtracts hash(A(i,a)) modulo _HASH_MOD, and a hash hit patches a copy of
-    m1's exponent map with the drop and compares it with the maps of that
-    hash, so no product is formed and a collision cannot change an edge.  An
-    edge holds the support's own monomials.
+    subtracts hash(A(i,a)) modulo _HASH_MOD, and a hash hit patches m1 with
+    the drop (Monomial._patched) and compares the result with the monomials
+    of that hash, so a collision cannot change an edge.  An edge holds the
+    support's own monomials.
     """
     d = chi.diagram
     keys = {k for m in chi._t for k in m._e}
@@ -358,15 +359,9 @@ def gamma_graph(chi: Character) -> GammaGraph:
             hits = index.get((h1 - hs) % _HASH_MOD)
             if hits is None:
                 continue
-            e = m1._e.copy()
-            for k, v in down:
-                v += e.get(k, 0)
-                if v:
-                    e[k] = v
-                else:
-                    del e[k]
-            for m2 in hits:
-                if m2._e == e:
-                    edges.append((m1, m2, i, a))
+            m2 = m1._patched(down, -hs)
+            for m in hits:
+                if m == m2:
+                    edges.append((m1, m, i, a))
                     break
     return GammaGraph(chi._t, edges)

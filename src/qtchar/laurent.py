@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
+from typing import Iterable, Tuple
 
 
 def _mac(acc: dict, c1: dict, c2: dict, shift: int = 0) -> dict:
@@ -27,6 +27,17 @@ def _axpy(acc: dict, c: dict, sign: int = 1) -> dict:
         else:
             acc.pop(k, None)
     return acc
+
+
+def _signed(terms: Iterable[Tuple[int, str]]) -> str:
+    """The sum of the nonzero terms (coefficient, symbol), e.g. "2W1 - W3" or
+    "1 + t^2": a unit coefficient is left off a symbol, never off an empty
+    one, and a negative term is subtracted; "0" for no terms."""
+    out = ""
+    for v, s in terms:
+        p = s if v == 1 and s else f"-{s}" if v == -1 and s else f"{v}{s}"
+        out += (f" - {p[1:]}" if p.startswith("-") else f" + {p}") if out else p
+    return out or "0"
 
 
 class IntLaurent:
@@ -126,24 +137,7 @@ class IntLaurent:
         return total
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for e, v in self.items():
-            if e == 0:
-                parts.append(f"{v}")
-            else:
-                mono = "t" if e == 1 else f"t^{e}"
-                if v == 1:
-                    parts.append(mono)
-                elif v == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{v}{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed((v, "" if e == 0 else "t" if e == 1 else f"t^{e}") for e, v in self.items())
 
     def __repr__(self) -> str:
         return f"IntLaurent({dict(self.items())!r})"

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .errors import NonDominantError, OddCycleError, QtcharError
-from .laurent import _axpy
+from .laurent import _axpy, _signed
 
 
 class DynkinDiagram:
@@ -31,16 +31,8 @@ class DynkinDiagram:
             adj[i].add(j)
             adj[j].add(i)
             eset.add((min(i, j), max(i, j)))
-        if rank > 1:
-            seen = {1}
-            stack = [1]
-            while stack:
-                for j in adj[stack.pop()]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            if len(seen) != rank:
-                raise QtcharError("diagram must be connected")
+        if len(_tree_edges(adj.__getitem__)) != rank - 1:
+            raise QtcharError("diagram must be connected")
         self.kind = kind
         self.rank = rank
         self._adj = {i: tuple(sorted(s)) for i, s in adj.items()}
@@ -110,21 +102,32 @@ class DynkinDiagram:
         return f"DynkinDiagram.general({self.rank}, {list(self._edges)!r})"
 
 
+def _tree_edges(neighbors: Callable[[int], Iterable[int]]) -> List[Tuple[int, int]]:
+    """The edges (i, j) of a depth-first spanning tree of the nodes reachable
+    from node 1, in the order the walk first reaches each j from its parent i."""
+    seen = {1}
+    stack = [1]
+    tree = []
+    while stack:
+        i = stack.pop()
+        for j in neighbors(i):
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+                tree.append((i, j))
+    return tree
+
+
 def bipartite_coloring(d: DynkinDiagram) -> Dict[int, int]:
     """Two-color the diagram so adjacent nodes differ; node 1 gets color 0.
 
     Raises OddCycleError when no two-coloring exists.
     """
     color = {1: 0}
-    stack = [1]
-    while stack:
-        i = stack.pop()
-        for j in d.neighbors(i):
-            if j not in color:
-                color[j] = 1 - color[i]
-                stack.append(j)
-            elif color[j] == color[i]:
-                raise OddCycleError("diagram contains an odd cycle")
+    for i, j in _tree_edges(d._adj.__getitem__):
+        color[j] = 1 - color[i]
+    if any(color[i] == color[j] for i, j in d.edges):
+        raise OddCycleError("diagram contains an odd cycle")
     return color
 
 
@@ -172,20 +175,7 @@ class Weight:
         return hash(self._key)
 
     def __str__(self) -> str:
-        if not self._key:
-            return "0"
-        parts = []
-        for i, v in self._key:
-            if v == 1:
-                parts.append(f"W{i}")
-            elif v == -1:
-                parts.append(f"-W{i}")
-            else:
-                parts.append(f"{v}W{i}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed((v, f"W{i}") for i, v in self._key)
 
     __repr__ = __str__
 

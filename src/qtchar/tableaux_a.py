@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import CapExceededError, OutOfRangeError, env_cap
 from .rootdata import DynkinDiagram
 from .yalgebra import Character, DrinfeldData, FundamentalSpec, Monomial, Raw, Spectral
-from .yalgebra import _HASH_MOD, _class_product
+from .yalgebra import _class_product
 
 
 class Column:
@@ -156,7 +156,7 @@ def _pool(n: int, columns: Callable, f: FundamentalSpec) -> List[PoolRow]:
     kept as a template: the column kind, the distinct variables as (node,
     qexp offset) and per column its entries, (variable position, exponent)
     pairs and l-degree.  A later call maps the variables once to f's base and
-    shift, then re-keys each row and builds its column at f."""
+    shift, then re-keys each row (Monomial._family) and builds its column at f."""
     key = (columns, n, f.node)
     a = f.spectral
     template = _templates.pop(key, None)  # put back last: most recently used
@@ -178,16 +178,8 @@ def _pool(n: int, columns: Callable, f: FundamentalSpec) -> List[PoolRow]:
     _templates[key] = template
     kind, variables, rows = template
     keys = [(i, Spectral(a.base, k + a.qexp)) for i, k in variables]
-    terms = [x * x + x for x in map(hash, keys)]  # each variable's hash term
-    pool = []
-    for entries, items, deg in rows:
-        e = {}
-        h = 0
-        for j, v in items:
-            e[keys[j]] = v
-            h += v * terms[j]
-        pool.append((kind(entries, a), Monomial._raw(e, h % _HASH_MOD), deg))
-    return pool
+    monomials = Monomial._family(keys, (items for _, items, _ in rows))
+    return [(kind(entries, a), m, deg) for (entries, _, deg), m in zip(rows, monomials)]
 
 
 def _column_sum(d: DynkinDiagram, size: int, columns: Callable, f: FundamentalSpec) -> Character:
@@ -384,11 +376,14 @@ def pad_to_equivalent(
             pads_b.extend([col] * defect)
         elif defect < 0:
             pads_a.extend([col] * (-defect))
-    ta2 = ta + tuple(pads_a)
-    tb2 = tb + tuple(pads_b)
-    if not is_equivalent(ta2, tb2):
-        return None
-    return ta2, tb2
+    return _padded(ta, tb, pads_a, pads_b)
+
+
+def _padded(ta: Iterable[Column], tb: Iterable[Column], pads_a: List[Column], pads_b: List[Column]):
+    """The padded pair (ta + pads_a, tb + pads_b), as tuples, when it is
+    equivalent; None otherwise."""
+    ta2, tb2 = tuple(ta) + tuple(pads_a), tuple(tb) + tuple(pads_b)
+    return (ta2, tb2) if is_equivalent(ta2, tb2) else None
 
 
 def ldominant_column_form(n: int, t: Tableau) -> Optional[Tableau]:

@@ -24,6 +24,7 @@ from .tableaux_a import (  # render_text, column_monomial and _pool serve both t
     Column,
     PoolRow,
     _column_sum,
+    _padded,
     _pool,
     _row_counts,
     _tableaux_sum,
@@ -222,16 +223,14 @@ def enumerate_spin(n: int, a: Spectral, chirality: str) -> List[SpinColumn]:
     """The 2^(n-1) spin columns: one letter per {i, ibar} class, sorted,
     with an even ('+') or odd ('-') number of barred letters."""
     _spin_count(n, chirality)  # refuses a rank below 4 or a bad chirality
+    letters = alphabet(n)  # shared by every column; barred i sits at 2n - i
     cols = []
     for signs in product((False, True), repeat=n - 1):
-        unbarred = [i for i in range(1, n) if not signs[i - 1]]
         barred = [i for i in range(1, n) if signs[i - 1]]
         n_barred = (len(barred) % 2 == 1) == (chirality == "+")
-        entries = (
-            [Letter(i) for i in unbarred]
-            + [Letter(n, n_barred)]
-            + [bar(i) for i in sorted(barred, reverse=True)]
-        )
+        entries = [letters[i - 1] for i in range(1, n) if not signs[i - 1]]
+        entries.append(letters[n if n_barred else n - 1])
+        entries += [letters[2 * n - i] for i in reversed(barred)]
         cols.append(SpinColumn(entries, a))
     return cols
 
@@ -467,9 +466,7 @@ def pad_pairs_equivalence(
     anchor row determines how many pairs to add, matching the letter counts
     of both the unbarred and the barred member.
     """
-    if ta and any(isinstance(c, SpinColumn) for c in ta):
-        raise QtcharError("pair padding applies to vector columns only")
-    if tb and any(isinstance(c, SpinColumn) for c in tb):
+    if any(isinstance(c, SpinColumn) for t in (ta, tb) for c in t):
         raise QtcharError("pair padding applies to vector columns only")
 
     def pair_columns(i: int, c: Spectral) -> Tuple[DColumn, DColumn]:
@@ -493,13 +490,7 @@ def pad_pairs_equivalence(
             else:
                 pads_a.extend([up, down] * (-defect))
             _axpy(diff, _row_counts((up, down)), -defect)
-    if diff:
-        return None
-    ta2 = tuple(ta) + tuple(pads_a)
-    tb2 = tuple(tb) + tuple(pads_b)
-    if not is_equivalent(ta2, tb2):
-        return None
-    return ta2, tb2
+    return None if diff else _padded(ta, tb, pads_a, pads_b)
 
 
 def column_to_json(col: Column) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     CapExceededError,
@@ -54,6 +54,12 @@ def _var_key(item):
 _HASH_MOD = (1 << 61) - 1
 
 
+def _mix(k: Tuple[int, Spectral]) -> int:
+    """The variable k's hash term h * h + h, h = hash(k), unreduced."""
+    x = hash(k)
+    return x * x + x
+
+
 class Monomial:
     """Product of Y(i, a)^e factors; the empty product is the unit.
 
@@ -76,20 +82,47 @@ class Monomial:
         for k, v in (exps or {}).items():
             if v:
                 e[k] = v
-                x = hash(k)
-                h += v * (x * x + x)
+                h += v * _mix(k)
         self._e = e
         self._key = None
         self._hash = h % _HASH_MOD
 
     @staticmethod
     def _raw(e: Dict[Tuple[int, Spectral], int], h: int) -> "Monomial":
-        """A monomial on the zero-free map e with the known hash h, unchecked."""
+        """A monomial on the zero-free map e with the hash h, any integer
+        congruent to it modulo _HASH_MOD; unchecked."""
         m = object.__new__(Monomial)
         m._e = e
         m._key = None
-        m._hash = h
+        m._hash = h % _HASH_MOD
         return m
+
+    def _patched(self, deltas: Iterable[Tuple[Tuple[int, Spectral], int]], h: int) -> "Monomial":
+        """self times the monomial of the zero-free exponent items deltas and
+        the hash h: a copy of self's map, each delta added, each zero dropped."""
+        e = self._e.copy()
+        for k, v in deltas:
+            v += e.get(k, 0)
+            if v:
+                e[k] = v
+            else:
+                del e[k]
+        return Monomial._raw(e, self._hash + h)
+
+    @staticmethod
+    def _family(keys: Sequence[Tuple[int, Spectral]], rows: Iterable) -> List["Monomial"]:
+        """One monomial per row of (position, exponent) pairs, position j
+        naming the variable keys[j]; each variable is hashed once."""
+        terms = list(map(_mix, keys))
+        out = []
+        for items in rows:
+            e = {}
+            h = 0
+            for j, v in items:
+                e[keys[j]] = v
+                h += v * terms[j]
+            out.append(Monomial._raw(e, h))
+        return out
 
     @staticmethod
     def one() -> "Monomial":
@@ -124,22 +157,15 @@ class Monomial:
             return other
         if not other._e:
             return self
-        e = self._e.copy()
-        for k, v in other._e.items():
-            v += e.get(k, 0)
-            if v:
-                e[k] = v
-            else:
-                del e[k]
-        return Monomial._raw(e, (self._hash + other._hash) % _HASH_MOD)
+        return self._patched(other._e.items(), other._hash)
 
     def inv(self) -> "Monomial":
-        return Monomial._raw({k: -v for k, v in self._e.items()}, -self._hash % _HASH_MOD)
+        return Monomial._raw({k: -v for k, v in self._e.items()}, -self._hash)
 
     def __pow__(self, k: int) -> "Monomial":
         if not k:
             return _UNIT
-        return Monomial._raw({key: v * k for key, v in self._e.items()}, self._hash * k % _HASH_MOD)
+        return Monomial._raw({key: v * k for key, v in self._e.items()}, self._hash * k)
 
     def is_i_dominant(self, i: int) -> bool:
         return all(v >= 0 for (node, _), v in self._e.items() if node == i)
@@ -430,18 +456,10 @@ def _block(
         for term in block:
             terms.append(term)
             m1, c1, v1 = term
-            e1, h1 = m1._e, m1._hash
             for deltas, h2, c2, v2 in factor:
-                e = e1.copy()
-                for k, v in deltas:
-                    v += e.get(k, 0)
-                    if v:
-                        e[k] = v
-                    else:
-                        del e[k]
                 # a unit coefficient is copied, not convolved
                 cc = c1.copy() if c2 is None else _mac({}, c1, *c2)
-                terms.append((Monomial._raw(e, (h1 + h2) % _HASH_MOD), cc, v1 + v2))
+                terms.append((m1._patched(deltas, h2), cc, v1 + v2))
         block = terms
     return block
 
@@ -629,7 +647,7 @@ def _times(left: Raw, right: Raw) -> Raw:
             for e1, v1 in c1:
                 for e2, v2 in c2:
                     acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
-            out[Monomial._raw({**x1, **x2}, (h1 + h2) % _HASH_MOD)] = acc
+            out[Monomial._raw({**x1, **x2}, h1 + h2)] = acc
     return out
 
 

@@ -35,6 +35,9 @@ def test_str_is_sorted_and_stable():
     p = IntLaurent({2: 1, 0: 1, -2: -1})
     assert str(p) == "-t^-2 + 1 + t^2"
     assert str(ZERO) == "0"
+    assert str(IntLaurent({0: -1})) == "-1"
+    assert str(IntLaurent({3: -1, 1: 2, 0: 1})) == "1 + 2t - t^3"
+    assert str(IntLaurent({-1: -3, 0: 1})) == "-3t^-1 + 1"
 
 
 def test_t_binomial_small_values():

@@ -22,6 +22,14 @@ def test_cartan_entries(a2, d4):
         a2.cartan_entry(0, 1)
 
 
+def test_weight_str():
+    assert str(Weight({1: 1})) == "W1"
+    assert str(Weight({2: -1})) == "-W2"
+    assert str(Weight({1: 2, 3: -1})) == "2W1 - W3"
+    assert str(Weight({1: -2, 2: 1})) == "-2W1 + W2"
+    assert str(Weight()) == "0"
+
+
 def test_diagram_validation():
     with pytest.raises(QtcharError):
         DynkinDiagram.general(3, [(1, 2)])  # disconnected

@@ -89,12 +89,21 @@ def test_monomial_products_add_their_hashes(a, b, k):
     merged = dict(ea)
     for key, e in eb.items():
         merged[key] = merged.get(key, 0) + e
+    nonzero = {key: e for key, e in merged.items() if e}
+    negated = {key: -e for key, e in ma._e.items()}
     for got, fresh in (
         (ma * mb, Monomial(merged)),
+        (ma._patched(mb._e.items(), hash(mb)), Monomial(merged)),
         (ma.inv(), Monomial({key: -e for key, e in ea.items()})),
         (ma**k, Monomial({key: e * k for key, e in ea.items()})),
+        # _raw reduces unreduced and negative hash sums itself
+        (Monomial._raw(nonzero, hash(ma) + hash(mb)), Monomial(merged)),
+        (Monomial._raw(dict(negated), -hash(ma)), Monomial(negated)),
+        (Monomial._raw(dict(ma._e), hash(ma) - 3 * (2**61 - 1)), ma),
+        (Monomial._family(list(ma._e), [enumerate(ma._e.values())])[0], ma),
     ):
         assert got == fresh and hash(got) == hash(fresh)
+        assert 0 <= hash(got) < 2**61 - 1
         assert 0 not in got._e.values()
     for unit in (ma * ma.inv(), ma * mb * ma.inv() * mb.inv(), mb**0):
         assert unit == Monomial.one() and hash(unit) == 0 and unit._e == {}
