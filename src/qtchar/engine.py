@@ -337,9 +337,9 @@ def gamma_graph(chi: Character) -> GammaGraph:
 
     The support is indexed by its monomials' additive hashes: a drop
     subtracts hash(A(i,a)) modulo _HASH_MOD, and a hash hit patches m1 with
-    the drop (Monomial._patched) and compares the result with the monomials
-    of that hash, so a collision cannot change an edge.  An edge holds the
-    support's own monomials.
+    the drop (Monomial._patched) and compares the result's exponent map with
+    the maps of that hash, so a collision cannot change an edge.  An edge
+    holds the support's own monomials.
     """
     d = chi.diagram
     keys = {k for m in chi._t for k in m._e}
@@ -359,9 +359,9 @@ def gamma_graph(chi: Character) -> GammaGraph:
             hits = index.get((h1 - hs) % _HASH_MOD)
             if hits is None:
                 continue
-            m2 = m1._patched(down, -hs)
-            for m in hits:
-                if m == m2:
-                    edges.append((m1, m, i, a))
+            e = m1._patched(down, -hs)._e  # its hash is that of the hits
+            for m2 in hits:
+                if m2._e == e:
+                    edges.append((m1, m2, i, a))
                     break
     return GammaGraph(chi._t, edges)

@@ -169,17 +169,17 @@ def _pool(n: int, columns: Callable, f: FundamentalSpec) -> List[PoolRow]:
                 for pair in m._e.items():
                     pair = (index.setdefault(pair[0], len(index)), pair[1])
                     items.append(pairs.setdefault(pair, pair))
-                rows.append((col.entries, tuple(items), deg))
+                rows.append(tuple(items))
+            cols, _, degs = zip(*pool)
             variables = tuple((i, b.qexp - a.qexp) for i, b in index)
-            _templates[key] = (type(pool[0][0]), variables, rows)
+            _templates[key] = (type(cols[0]), variables, rows, [c.entries for c in cols], degs)
             while sum(len(t[2]) for t in _templates.values()) > _TEMPLATE_ROWS:
                 del _templates[next(iter(_templates))]
         return pool
     _templates[key] = template
-    kind, variables, rows = template
+    kind, variables, rows, entries, degs = template
     keys = [(i, Spectral(a.base, k + a.qexp)) for i, k in variables]
-    monomials = Monomial._family(keys, (items for _, items, _ in rows))
-    return [(kind(entries, a), m, deg) for (entries, _, deg), m in zip(rows, monomials)]
+    return list(zip(map(kind, entries, repeat(a)), Monomial._family(keys, rows), degs))
 
 
 def _column_sum(d: DynkinDiagram, size: int, columns: Callable, f: FundamentalSpec) -> Character:
