@@ -141,7 +141,7 @@ def _columns(n: int, f: FundamentalSpec) -> List[AColumn]:
 PoolRow = Tuple[Column, Monomial, int]
 
 # The most template rows _templates keeps: any one pool of A1-A13, D4-D9 or
-# the spin columns up to D13 fits (0.5 MiB at A13 node 7, 4.3 MiB at D13
+# the spin columns up to D13 fits (0.7 MiB at A13 node 7, 1.0 MiB at D13
 # spin).  The least recently used templates go first; a larger pool is built
 # for its call alone, as is.
 _TEMPLATE_ROWS = 4096
