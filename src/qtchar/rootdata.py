@@ -103,19 +103,16 @@ class DynkinDiagram:
 
 
 def _tree_edges(neighbors: Callable[[int], Iterable[int]]) -> List[Tuple[int, int]]:
-    """The edges (i, j) of a depth-first spanning tree of the nodes reachable
+    """The edges (i, j) of a breadth-first spanning tree of the nodes reachable
     from node 1, in the order the walk first reaches each j from its parent i."""
     seen = {1}
-    stack = [1]
-    tree = []
-    while stack:
-        i = stack.pop()
+    tree = [(1, 1)]  # the walk's queue, rooted at a loop on node 1
+    for _, i in tree:  # the queue grows as it is walked
         for j in neighbors(i):
             if j not in seen:
                 seen.add(j)
-                stack.append(j)
                 tree.append((i, j))
-    return tree
+    return tree[1:]
 
 
 def bipartite_coloring(d: DynkinDiagram) -> Dict[int, int]:
@@ -126,7 +123,7 @@ def bipartite_coloring(d: DynkinDiagram) -> Dict[int, int]:
     color = {1: 0}
     for i, j in _tree_edges(d._adj.__getitem__):
         color[j] = 1 - color[i]
-    if any(color[i] == color[j] for i, j in d.edges):
+    if any(color[i] == color[j] for i, j in d._edges):
         raise OddCycleError("diagram contains an odd cycle")
     return color
 

@@ -99,7 +99,8 @@ class Monomial:
 
     def _patched(self, deltas: Iterable[Tuple[Tuple[int, Spectral], int]], h: int) -> "Monomial":
         """self times the monomial of the zero-free exponent items deltas and
-        the hash h: a copy of self's map, each delta added, each zero dropped."""
+        the hash h: a copy of self's map, each delta added, each zero dropped.
+        The result is built as _raw builds it, inline: a call less per product."""
         e = self._e.copy()
         for k, v in deltas:
             v += e.get(k, 0)
@@ -107,7 +108,11 @@ class Monomial:
                 e[k] = v
             else:
                 del e[k]
-        return Monomial._raw(e, self._hash + h)
+        m = object.__new__(Monomial)
+        m._e = e
+        m._key = None
+        m._hash = (self._hash + h) % _HASH_MOD
+        return m
 
     @staticmethod
     def _family(keys: Sequence[Tuple[int, Spectral]], rows: Iterable) -> List["Monomial"]:
