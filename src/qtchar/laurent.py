@@ -35,8 +35,8 @@ def _signed(terms: Iterable[Tuple[int, str]]) -> str:
     one, and a negative term is subtracted; "0" for no terms."""
     out = ""
     for v, s in terms:
-        p = s if v == 1 and s else f"-{s}" if v == -1 and s else f"{v}{s}"
-        out += (f" - {p[1:]}" if p.startswith("-") else f" + {p}") if out else p
+        p = f"{v}{s}" if not s or v not in (1, -1) else s if v == 1 else "-" + s
+        out = p if not out else out + (" - " + p[1:] if p[0] == "-" else " + " + p)
     return out or "0"
 
 

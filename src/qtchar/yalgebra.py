@@ -54,12 +54,6 @@ def _var_key(item):
 _HASH_MOD = (1 << 61) - 1
 
 
-def _mix(k: Tuple[int, Spectral]) -> int:
-    """The variable k's hash term h * h + h, h = hash(k), unreduced."""
-    x = hash(k)
-    return x * x + x
-
-
 class Monomial:
     """Product of Y(i, a)^e factors; the empty product is the unit.
 
@@ -82,7 +76,8 @@ class Monomial:
         for k, v in (exps or {}).items():
             if v:
                 e[k] = v
-                h += v * _mix(k)
+                x = hash(k)
+                h += v * (x * x + x)
         self._e = e
         self._key = None
         self._hash = h % _HASH_MOD
@@ -118,7 +113,7 @@ class Monomial:
     def _family(keys: Sequence[Tuple[int, Spectral]], rows: Iterable) -> List["Monomial"]:
         """One monomial per row of (position, exponent) pairs, position j
         naming the variable keys[j]; each variable is hashed once."""
-        terms = list(map(_mix, keys))
+        terms = [x * x + x for x in map(hash, keys)]  # as __init__ hashes
         out = []
         for items in rows:
             e = {}
