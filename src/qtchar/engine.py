@@ -84,92 +84,77 @@ def _closure(d: DynkinDiagram, top: Monomial) -> Tuple[Raw, Dict[Monomial, tuple
     CapExceededError; the closure ends past its last bucket, so the cap
     bounds its rounds."""
     cap = env_cap()
-    # final and pending hold raw {texp: coeff} maps; pending[i] accumulates
-    # every emitted rank-one block in direction i, updated in place
+    # final holds raw {texp: coeff} maps, and pending[m][i] the raw sum of the
+    # blocks that direction i has sent to m, updated in place
     final: Raw = {top: {0: 1}}
-    pending: List[Dict[Monomial, Dict[int, int]]] = [dict() for _ in range(d.rank + 1)]
-    # tables[i] holds direction i's rank-one factors for this call
-    tables: List[dict] = [dict() for _ in range(d.rank + 1)]
+    pending: Dict[Monomial, Dict[int, Dict[int, int]]] = {}
+    table: dict = {}  # this call's rank-one factors, keyed by (i, spectral, u)
     # buckets[k] holds each monomial emitted k root-monomial drops below the
     # top: its head's degree plus the drops of the block term that reached it
     buckets: Dict[int, set] = {}
     # every monomial ever filed in a bucket, with the head and drops that first
-    # reached it: a later entry in another direction, or after a cancellation,
-    # neither re-reads nor re-files it
+    # reached it
     origin: Dict[Monomial, tuple] = {top: (top, ())}
 
-    def emit(i: int, head: Monomial, c: Dict[int, int], deg: int) -> None:
-        # the block's first term is the flushed head itself, and nothing reads
-        # pending at a flushed head again: every later write there would come
-        # from a head of lower degree, flushed earlier.  So it is not filed
-        dest = pending[i]
-        for m, cc, drops in islice(_block(d, head, i, tables[i], c), 1, None):
-            acc = dest.get(m)
-            if acc is None:
-                dest[m] = cc
-                if m not in origin:
-                    origin[m] = (head, drops)
-                    buckets.setdefault(deg + sum(r for _, r in drops), set()).add(m)
+    def flush(m: Monomial, row: dict, deg: int, skip: set) -> None:
+        # emit the residual of m's popped row in each of m's node directions
+        # but skip (a block at a node where m has no exponent is {m: r}).  A
+        # block's first term is m itself, and nothing reads pending at a
+        # flushed monomial again, so it is not filed.  Every write lands below
+        # deg, so a monomial without a row was never reached: it is filed with
+        # its first row.  c is fresh, so acc is c only when it was just written
+        a = final[m]
+        for i in {node for node, _ in m._e} - skip:
+            p = row.get(i)
+            if p == a:
                 continue
-            if not _axpy(acc, cc):
-                del dest[m]
-
-    def flush_level(level: List[Tuple[Monomial, set]], deg: int) -> None:
-        # level pairs each monomial with its negative nodes.  A block at a node
-        # where m has no exponent is {m: r}, and nothing reads pending at a
-        # flushed monomial again, so only m's nodes emit, each popping its entry
-        # at m (popping the other directions' entries too measured slower)
-        bad = []
-        for m, low in level:
-            a = final[m]
-            for i in {node for node, _ in m._e}:
-                p = pending[i].pop(m, None)
-                if p is None:
-                    r = a
-                elif p == a:
+            r = a if p is None else _axpy(dict(a), p, -1)
+            for m2, c, drops in islice(_block(d, m, i, table, r), 1, None):
+                dest = pending.get(m2)
+                if dest is None:
+                    pending[m2] = {i: c}
+                    origin[m2] = (m, drops)
+                    buckets.setdefault(deg + sum(n for _, n in drops), set()).add(m2)
                     continue
-                else:
-                    r = _axpy(dict(a), p, -1)
-                if i in low:
-                    message = f"residual {IntLaurent(r)} at non-{i}-dominant {m}"
-                    bad.append((m.sort_key(), i, message))
-                    continue
-                emit(i, m, r, deg)
-        if bad:
-            raise InconsistentCharacterError(min(bad)[2])
+                acc = dest.setdefault(i, c)
+                if acc is not c and not _axpy(acc, c):
+                    del dest[i]
 
-    flush_level([(top, _negative_nodes(top))], 0)
+    low = _negative_nodes(top)
+    flush(top, {}, 0, low)
+    if low:
+        raise InconsistentCharacterError(f"residual 1 at non-{min(low)}-dominant {top}")
     for deg in count(1):
         if len(origin) > cap:
             raise CapExceededError(f"closure exceeded {cap} monomials")
-        if all(k < deg for k in buckets):
+        if not buckets:
             return final, origin
         # a cancelled entry may linger in a bucket; its predictions are all zero.
-        # Buckets and levels are walked in set order, so each refusal is kept
-        # to the end of its round and the sort-first one is raised
-        level = []
+        # A flush writes only below its round, so each monomial is flushed as
+        # its round files it.  Buckets are walked in set order, so each refusal
+        # is kept to the end of its round and the sort-first one is raised
         bad = []
         for m in buckets.pop(deg, ()):
+            row = pending.pop(m)
             forcing = _negative_nodes(m)
             if not forcing:
-                if any(m in p for p in pending):
+                if row:
                     bad.append((m.sort_key(), LDominantEncounteredError(
                         f"dominant monomial {m} appeared below the top; "
                         "the inductive method does not apply"
                     )))
                 continue
-            a, *rest = [pending[i].get(m) for i in forcing]
+            a, *rest = [row.get(i) for i in forcing]
             if any(p != a for p in rest):
                 bad.append((m.sort_key(), InconsistentCharacterError(
                     f"directions disagree at {m}: "
-                    + ", ".join(f"{i}:{IntLaurent(pending[i].get(m))}" for i in sorted(forcing))
+                    + ", ".join(f"{i}:{IntLaurent(row.get(i))}" for i in sorted(forcing))
                 )))
             elif a:
-                final[m] = dict(a)
-                level.append((m, forcing))
+                final[m] = a
+                flush(m, row, deg, forcing)
         if bad:
             raise min(bad, key=lambda b: b[0])[1]
-        flush_level(level, deg)
 
 
 def _negative_nodes(m: Monomial) -> set:

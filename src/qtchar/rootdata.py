@@ -16,7 +16,7 @@ class DynkinDiagram:
     to node n-2.  Immutable and hashable, so diagrams can key caches.
     """
 
-    __slots__ = ("kind", "rank", "_adj", "_edges")
+    __slots__ = ("kind", "rank", "_adj", "_edges", "_color")
 
     def __init__(self, kind: str, rank: int, edges: Iterable[Tuple[int, int]]):
         if rank < 1:
@@ -31,12 +31,17 @@ class DynkinDiagram:
             adj[i].add(j)
             adj[j].add(i)
             eset.add((min(i, j), max(i, j)))
-        if len(_tree_edges(adj.__getitem__)) != rank - 1:
+        color = {1: 0}  # along the walk, which reaches every node when connected
+        for i, j in _tree_edges(adj.__getitem__):
+            color[j] = 1 - color[i]
+        if len(color) != rank:
             raise QtcharError("diagram must be connected")
         self.kind = kind
         self.rank = rank
         self._adj = {i: tuple(sorted(s)) for i, s in adj.items()}
         self._edges = tuple(sorted(eset))
+        # the two-coloring, or None when an edge joins two nodes of one color
+        self._color = None if any(color[i] == color[j] for i, j in eset) else color
 
     @staticmethod
     def type_a(n: int) -> "DynkinDiagram":
@@ -116,16 +121,11 @@ def _tree_edges(neighbors: Callable[[int], Iterable[int]]) -> List[Tuple[int, in
 
 
 def bipartite_coloring(d: DynkinDiagram) -> Dict[int, int]:
-    """Two-color the diagram so adjacent nodes differ; node 1 gets color 0.
-
-    Raises OddCycleError when no two-coloring exists.
-    """
-    color = {1: 0}
-    for i, j in _tree_edges(d._adj.__getitem__):
-        color[j] = 1 - color[i]
-    if any(color[i] == color[j] for i, j in d._edges):
+    """A copy of the diagram's two-coloring, node 1 colored 0, made once along
+    its connectivity walk; OddCycleError when an odd cycle leaves none."""
+    if d._color is None:
         raise OddCycleError("diagram contains an odd cycle")
-    return color
+    return dict(d._color)
 
 
 class Weight:

@@ -58,11 +58,11 @@ class Monomial:
     """Product of Y(i, a)^e factors; the empty product is the unit.
 
     Immutable and hashable; equality and hashing read the unordered exponent
-    map.  The hash is additive, sum of e * (h * h + h) with h = hash((node, a))
+    map.  The hash is additive, sum of e * (h * h ^ h) with h = hash((node, a))
     modulo _HASH_MOD, so a product's hash is the sum of its factors' and no
-    product re-hashes.  The square mixes each variable's hash: tuple hashes
-    are close to linear in their fields, and plain sums of them collide on
-    monomials that trade one shifted variable for another.  Equality still
+    product re-hashes.  The mix breaks the near-linearity of tuple hashes, on
+    which plain sums collide when a monomial trades one shifted variable for
+    another; a plain h * h + h meets such relations under some hash seeds.  Equality still
     compares the maps, so a collision cannot merge monomials.
     The canonical variable order (base, qexp, node), used for deterministic
     iteration and serialization, is built on first use and cached.
@@ -77,7 +77,7 @@ class Monomial:
             if v:
                 e[k] = v
                 x = hash(k)
-                h += v * (x * x + x)
+                h += v * (x * x ^ x)
         self._e = e
         self._key = None
         self._hash = h % _HASH_MOD
@@ -113,7 +113,7 @@ class Monomial:
     def _family(keys: Sequence[Tuple[int, Spectral]], rows: Iterable) -> List["Monomial"]:
         """One monomial per row of (position, exponent) pairs, position j
         naming the variable keys[j]; each variable is hashed once."""
-        terms = [x * x + x for x in map(hash, keys)]  # as __init__ hashes
+        terms = [x * x ^ x for x in map(hash, keys)]  # as __init__ hashes
         out = []
         for items in rows:
             e = {}
@@ -440,18 +440,18 @@ def _block(
 
     A term's drops are the pairs ((i, aq), r) with term = m * prod A(i,aq)^-r;
     the first term is m itself with c itself, every other term's coefficient
-    is fresh.  Each factor is read from table, keyed by (spectral, u) for
-    direction i and filled on a miss.  The factors' root monomials are
-    independent, so every product of terms is a distinct monomial and nothing
-    merges; each term is its prefix term plus one step's exponent deltas.
+    is fresh.  Each factor is read from table, keyed by (i, spectral, u), and
+    filled on a miss.  The factors' root monomials are independent, so every
+    product of terms is a distinct monomial and nothing merges; each term is
+    its prefix term plus one step's exponent deltas.
     """
     block = [(m, c, ())]
     for (node, a), u in m._e.items():
         if node != i or u <= 0:
             continue
-        factor = table.get((a, u))
+        factor = table.get((i, a, u))
         if factor is None:
-            factor = table[(a, u)] = _rank_one_factor(d, i, a, u)
+            factor = table[(i, a, u)] = _rank_one_factor(d, i, a, u)
         terms = []
         for term in block:
             terms.append(term)
@@ -485,9 +485,10 @@ def e_decompose(d: DynkinDiagram, chi: Character, i: int) -> List[Tuple[Monomial
     height, below its head, so the heads of one height never touch each
     other: the monomials are filed by height, a block term under its head's
     height less twice its drops, and each height is sorted once.  Raises
-    NotDecomposableError at a monomial that is not i-dominant, and
-    CapExceededError past QCHAR_MAX_TERMS blocks.
+    QtcharError for a node i outside d, NotDecomposableError at a monomial
+    that is not i-dominant, and CapExceededError past QCHAR_MAX_TERMS blocks.
     """
+    d._check_node(i)
     w = _height_weights(d)
     cap = env_cap()
     rem = {m: dict(c._c) for m, c in chi._t.items()}  # raw, updated in place
@@ -720,11 +721,14 @@ def character_to_json(chi: Character) -> list:
 
 
 def character_from_json(d: DynkinDiagram, data: list) -> Character:
+    """The character of character_to_json's list; a node outside d is refused."""
     terms: Dict[Monomial, IntLaurent] = {}
     for entry in data:
         m = Monomial.from_factors(
             (v["node"], Spectral(v["base"], v["qexp"]), v["exp"]) for v in entry["monomial"]
         )
+        for node, _ in m._e:
+            d._check_node(node)
         c = IntLaurent({p["texp"]: p["c"] for p in entry["coeff"]})
         terms[m] = terms.get(m, IntLaurent.zero()) + c
     return Character(d, terms)

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
@@ -126,6 +127,9 @@ def test_closure_refusals_name_the_sort_first_monomial(a2, d4):
     refusals = [
         (a2, mono((1, "a", 0, -1), (2, "b", 0, -1)), InconsistentCharacterError,
          "residual 1 at non-1-dominant Y(1,a)^-1 Y(2,b)^-1"),
+        # the top emits its block in direction 1 before it refuses direction 2
+        (a2, mono((1, "a", 0, 1), (2, "b", 0, -1)), InconsistentCharacterError,
+         "residual 1 at non-2-dominant Y(1,a) Y(2,b)^-1"),
         (a2, mono((2, "a", -2, 1), (2, "a", 0, 1), (2, "a", 2, 2)), LDominantEncounteredError,
          "dominant monomial Y(2,aq^-2) Y(1,aq) Y(2,aq^2) appeared below the top; "
          "the inductive method does not apply"),
@@ -154,8 +158,8 @@ def test_closure_cap(monkeypatch):
 
 def test_closure_drops_the_pending_entries_it_has_flushed():
     # the D7 node-4 closure peaks near 2.4 MiB when it keeps every pending
-    # entry to the end, and near 1 MiB when a flushed monomial's entries at
-    # its own nodes are popped
+    # entry to the end, and near 0.85 MiB when a flushed monomial's whole
+    # pending row is popped
     d7, f = DynkinDiagram.type_d(7), FundamentalSpec(4, q(0))
     fundamental_character(d7, f)  # fill the per-diagram caches first
     tracemalloc.start()
@@ -165,6 +169,41 @@ def test_closure_drops_the_pending_entries_it_has_flushed():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20, peak
+
+
+def test_closure_refuses_a_node_outside_the_diagram(a2, d4):
+    # a node outside the diagram is refused by name, as a QtcharError, where
+    # the closure first builds a block at it
+    calls = [
+        (lambda: fundamental_character(a2, FundamentalSpec(7, q(0))), 7),
+        (lambda: standard_character(a2, DrinfeldData([(1, q(0)), (7, q(1))])), 7),
+        (lambda: fundamental_character(d4, FundamentalSpec(5, q(0))), 5),
+    ]
+    for call, node in calls:
+        with pytest.raises(QtcharError, match=f"^unknown node {node}$"):
+            call()
+
+
+def test_runaway_closure_refuses_quickly_in_little_memory(d5, monkeypatch):
+    # this top's closure never ends: it files 10^5 monomials in about 4 s at
+    # 220 MiB.  Under a cap of 2000 it refuses in about 0.1 s at a traced peak
+    # of 3.16 MiB (Python 3.11), one pending row per reached monomial; a
+    # pending map per node peaks at 3.79 MiB.  The bound lies between the two,
+    # 10 % above the first for other Python versions' object sizes
+    top = Monomial.from_factors([(1, q(2), 1), (3, q(-1, "b"), 2), (3, q(2, "b"), 1)])
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "2000")
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="closure exceeded 2000 monomials"):
+        fundamental_character(d5, SimpleNamespace(top=top))
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            fundamental_character(d5, SimpleNamespace(top=top))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20, peak
 
 
 def test_standard_character_cap(a2, monkeypatch):

@@ -84,7 +84,7 @@ def test_monomial_products_add_their_hashes(a, b, k):
     ea = {(n, Spectral(base, s)): e for (n, base, s), e in a.items()}
     eb = {(n, Spectral(base, s)): e for (n, base, s), e in b.items()}
     ma, mb = Monomial(ea), Monomial(eb)
-    mixed = {key: hash(key) ** 2 + hash(key) for key in ea}
+    mixed = {key: hash(key) ** 2 ^ hash(key) for key in ea}
     assert hash(ma) == sum(e * mixed[key] for key, e in ea.items()) % (2**61 - 1)
     merged = dict(ea)
     for key, e in eb.items():
@@ -417,6 +417,18 @@ def test_character_json_round_trip(a2):
     chi = chi.scaled(IntLaurent({-1: 2, 3: -1}))
     data = json.loads(json.dumps(character_to_json(chi)))
     assert character_from_json(a2, data) == chi
+
+
+def test_nodes_outside_the_diagram_are_refused(a2):
+    # JSON comes from outside the program, and the height weights of
+    # e_decompose are indexed by node - 1, so node 0 would read the last one
+    for node in (0, a2.rank + 1):
+        data = [{"monomial": [{"node": node, "base": "a", "qexp": 0, "exp": 1}],
+                 "coeff": [{"texp": 0, "c": 1}]}]
+        with pytest.raises(QtcharError, match=f"^unknown node {node}$"):
+            character_from_json(a2, data)
+        with pytest.raises(QtcharError, match=f"^unknown node {node}$"):
+            e_decompose(a2, e_expansion(a2, ym((1, 0)), 1), node)
 
 
 def test_character_canonical_order(a2):
