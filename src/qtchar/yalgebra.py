@@ -62,8 +62,8 @@ class Monomial:
     modulo _HASH_MOD, so a product's hash is the sum of its factors' and no
     product re-hashes.  The mix breaks the near-linearity of tuple hashes, on
     which plain sums collide when a monomial trades one shifted variable for
-    another; a plain h * h + h meets such relations under some hash seeds.  Equality still
-    compares the maps, so a collision cannot merge monomials.
+    another; h * h + h meets such relations under some hash seeds.  Equality
+    still compares the maps, so a collision cannot merge monomials.
     The canonical variable order (base, qexp, node), used for deterministic
     iteration and serialization, is built on first use and cached.
     """
