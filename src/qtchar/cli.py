@@ -124,33 +124,24 @@ def render_character(chi: Character, fmt: str, t_eval: Optional[int]) -> str:
 
 
 def cmd_fundamental(d, factors, args) -> Tuple[int, str]:
-    if len(factors) != 1:
-        raise UsageError("fundamental expects exactly one factor")
     chi = fundamental_character(d, factors[0])
     return 0, render_character(chi, args.output, args.t_eval)
 
 
 def cmd_standard(d, factors, args) -> Tuple[int, str]:
-    if not factors:
-        raise UsageError("standard expects at least one factor")
     chi = standard_character(d, DrinfeldData(factors))
     return 0, render_character(chi, args.output, args.t_eval)
 
 
 def cmd_spin(d, factors, args) -> Tuple[int, str]:
-    if d.kind != "D":
-        raise UsageError("spin expects a type D diagram")
-    if len(factors) != 1 or factors[0].node not in (d.rank - 1, d.rank):
+    (f,) = factors
+    if f.node not in (d.rank - 1, d.rank):
         raise UsageError("spin expects exactly one spin factor")
-    f = factors[0]
-    chirality = "+" if f.node == d.rank else "-"
-    chi = tableaux_d.spin_char(d, f.spectral, chirality)
+    chi = tableaux_d.spin_char(d, f.spectral, "+" if f.node == d.rank else "-")
     return 0, render_character(chi, args.output, args.t_eval)
 
 
 def cmd_graph(d, factors, args) -> Tuple[int, str]:
-    if not factors:
-        raise UsageError("graph expects at least one factor")
     chi = standard_character(d, DrinfeldData(factors))
     g = gamma_graph(chi)
     if args.output == "dot":
@@ -168,8 +159,6 @@ def cmd_graph(d, factors, args) -> Tuple[int, str]:
 
 
 def cmd_crystal(d, factors, args) -> Tuple[int, str]:
-    if not factors:
-        raise UsageError("crystal expects at least one factor")
     g = generate_crystal(d, Monomial.from_factors((f.node, f.spectral, 1) for f in factors))
     problems = verify_crystal_axioms(g)
     if args.output == "dot":
@@ -181,10 +170,6 @@ def cmd_crystal(d, factors, args) -> Tuple[int, str]:
 
 
 def cmd_restrict(d, factors, args) -> Tuple[int, str]:
-    if d.kind != "D":
-        raise UsageError("restrict expects a type D diagram")
-    if len(factors) != 1:
-        raise UsageError("restrict expects exactly one factor")
     N = factors[0].node  # restriction forgets the spectral parameter
     if N > d.rank - 2:
         raise UsageError(f"restrict expects a vector node 1..{d.rank - 2}")
@@ -212,13 +197,9 @@ def cmd_verify(d, factors, args) -> Tuple[int, str]:
     rng = random.Random(args.seed if args.seed is not None else 0)
     q0 = Spectral("a", 0)
     lines = []
-    failures = 0
 
     def report(name: str, ok: bool) -> None:
-        nonlocal failures
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
 
     if d.kind == "A":
         ok = True
@@ -293,25 +274,29 @@ def cmd_verify(d, factors, args) -> Tuple[int, str]:
         ok &= rebuilt == m
     report("randomized drop profiles rebuild their monomials", ok)
 
+    failures = sum(line.startswith("FAIL") for line in lines)
     lines.append("verify " + ("passed" if failures == 0 else f"failed ({failures})"))
     return (1 if failures else 0), "\n".join(lines)
 
 
-# Each command, the --output values it renders and the other options it reads
+# Each command, the --output values it renders, the other options it reads, the
+# diagram type it needs and the factors it expects ("exactly one ..." or "at least one ...")
+_ALL = ("text", "json", "dot")  # every --output value
 COMMANDS = {
-    "fundamental": (cmd_fundamental, ("text", "json", "dot"), ("--factors", "--t-eval")),
-    "standard": (cmd_standard, ("text", "json", "dot"), ("--factors", "--t-eval")),
-    "spin": (cmd_spin, ("text", "json", "dot"), ("--factors", "--t-eval")),
-    "crystal": (cmd_crystal, ("text", "dot"), ("--factors",)),
-    "graph": (cmd_graph, ("text", "json", "dot"), ("--factors",)),
-    "verify": (cmd_verify, ("text",), ("--seed",)),
-    "restrict": (cmd_restrict, ("text",), ("--factors",)),
+    "fundamental": (cmd_fundamental, _ALL, ("--factors", "--t-eval"), None, "exactly one factor"),
+    "standard": (cmd_standard, _ALL, ("--factors", "--t-eval"), None, "at least one factor"),
+    "spin": (cmd_spin, _ALL, ("--factors", "--t-eval"), "D", "exactly one spin factor"),
+    "crystal": (cmd_crystal, ("text", "dot"), ("--factors",), None, "at least one factor"),
+    "graph": (cmd_graph, _ALL, ("--factors",), None, "at least one factor"),
+    "verify": (cmd_verify, ("text",), ("--seed",), None, None),
+    "restrict": (cmd_restrict, ("text",), ("--factors",), "D", "exactly one factor"),
 }
 
 
-def check_options(args: argparse.Namespace) -> None:
-    """Refuse an option that the command would ignore."""
-    _, outputs, reads = COMMANDS[args.command]
+def check_options(args: argparse.Namespace, d: DynkinDiagram, factors: List) -> None:
+    """Refuse an option that the command would ignore, then a diagram type or
+    factor count that it does not take."""
+    _, outputs, reads, kind, expects = COMMANDS[args.command]
     for flag in ("--factors", "--t-eval", "--seed"):
         if getattr(args, flag[2:].replace("-", "_")) not in (None, "") and flag not in reads:
             raise UsageError(f"{args.command} does not read {flag}")
@@ -320,6 +305,10 @@ def check_options(args: argparse.Namespace) -> None:
         name, outputs = f"{name} --t-eval", ("text", "json")
     if args.output not in outputs:
         raise UsageError(f"{name} supports --output {' or '.join(outputs)}, not {args.output}")
+    if kind and d.kind != kind:
+        raise UsageError(f"{args.command} expects a type {kind} diagram")
+    if expects and (not factors or len(factors) > 1 and expects.startswith("exactly")):
+        raise UsageError(f"{args.command} expects {expects}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--diagram", required=True, help="A:<n> or D:<n>")
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--factors", default="", help="comma-separated node:base:qexp")
-    ap.add_argument("--output", choices=("text", "json", "dot"), default="text")
+    ap.add_argument("--output", choices=_ALL, default="text")
     ap.add_argument("--t-eval", type=int, default=None, dest="t_eval")
     ap.add_argument("--seed", type=int, default=None)
     return ap
@@ -349,7 +338,7 @@ def run(argv: List[str]) -> Tuple[int, str]:
             env_cap()
         except QtcharError as exc:  # a malformed cap is a usage error
             raise UsageError(exc)
-        check_options(args)
+        check_options(args, d, factors)
         return COMMANDS[args.command][0](d, factors, args)
     except UsageError as exc:
         return 2, f"error: {exc}"

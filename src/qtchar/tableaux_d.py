@@ -17,6 +17,7 @@ from itertools import product
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import tableaux_a
 from .errors import OutOfRangeError, QtcharError
 from .laurent import _axpy
 from .rootdata import DynkinDiagram
@@ -73,16 +74,14 @@ def preceq(n: int, x: Letter, y: Letter) -> bool:
 
 @lru_cache(maxsize=256)
 def box_monomial(n: int, x: Letter, a: Spectral) -> Monomial:
-    """Full-size box for the vector alphabet (cached like tableaux_a's)."""
+    """Full-size box for the vector alphabet (cached like tableaux_a's); an
+    unbarred letter i <= n-2 is type A's box."""
     if not (1 <= x.value <= n):
         raise OutOfRangeError(f"letter {x} outside rank {n}")
     i = x.value
     if not x.barred:
         if i <= n - 2:
-            e = {(i, a.shift(i - 1)): 1}
-            if i >= 2:
-                e[(i - 1, a.shift(i))] = -1
-            return Monomial(e)
+            return tableaux_a.box_monomial(n, i, a)
         if i == n - 1:
             return Monomial(
                 {
@@ -110,16 +109,14 @@ def box_monomial(n: int, x: Letter, a: Spectral) -> Monomial:
 
 @lru_cache(maxsize=256)
 def half_box_monomial(n: int, x: Letter, a: Spectral) -> Monomial:
-    """Half-size box for spin columns (cached like tableaux_a's)."""
+    """Half-size box for spin columns (cached like tableaux_a's); an unbarred
+    letter i <= n-2 is type A's box one step lower."""
     if not (1 <= x.value <= n):
         raise OutOfRangeError(f"letter {x} outside rank {n}")
     i = x.value
     if not x.barred:
         if i <= n - 2:
-            e = {(i, a.shift(i - 2)): 1}
-            if i >= 2:
-                e[(i - 1, a.shift(i - 1))] = -1
-            return Monomial(e)
+            return tableaux_a.box_monomial(n, i, a.shift(-1))
         if i == n - 1:
             return Monomial({(n - 2, a.shift(n - 2)): -1})
         return Monomial({(n, a.shift(n - 1)): 1})
@@ -361,11 +358,10 @@ def drop_family(n: int, col: Column) -> Dict[Tuple[int, Spectral], int]:
 
 def _columns(n: int, f: FundamentalSpec) -> List[Column]:
     """The columns realizing one fundamental factor."""
+    _count(n, f)  # refuses a node that type D does not realize
     if f.node <= n - 2:
         return enumerate_fundamental_columns(n, f.node, f.spectral)
-    if f.node in (n - 1, n):
-        return enumerate_spin(n, f.spectral, "+" if f.node == n else "-")
-    raise OutOfRangeError(f"node {f.node} outside rank {n}")
+    return enumerate_spin(n, f.spectral, "+" if f.node == n else "-")
 
 
 def _count(n: int, f: FundamentalSpec) -> int:

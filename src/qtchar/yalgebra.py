@@ -173,12 +173,9 @@ class Monomial:
     def is_l_dominant(self) -> bool:
         return all(v >= 0 for v in self._e.values())
 
-    def bases(self) -> List[str]:
-        return sorted({a.base for (_, a) in self._e})
-
     def single_base(self) -> Optional[str]:
         """The unique base of the support, None for the unit monomial."""
-        bs = self.bases()
+        bs = sorted({a.base for (_, a) in self._e})
         if len(bs) > 1:
             raise MixedBaseError(f"monomial mixes bases {bs}")
         return bs[0] if bs else None
@@ -300,8 +297,10 @@ def _height(w: Tuple[int, ...], m: Monomial) -> int:
 def drop_degree(d: DynkinDiagram, m: Monomial, mp: Monomial) -> int:
     """Total number of root-monomial factors separating m from mp.
 
-    Only meaningful when m <= mp; equals sum(v_profile(m, mp)).
+    Only meaningful when m <= mp; equals sum(v_profile(m, mp)). A node outside d is refused.
     """
+    for node, _ in (*m._e, *mp._e):
+        d._check_node(node)
     w = _height_weights(d)
     q, r = divmod(_height(w, mp) - _height(w, m), 2)
     if r:
@@ -469,8 +468,9 @@ def e_expansion(d: DynkinDiagram, m: Monomial, i: int) -> Character:
 
     For each spectral parameter a with u = u(i,a) > 0 the block carries the
     factor sum_r t^(r(u-r)) [u,r]_t A(i,aq)^-r; the leading term is m itself
-    with coefficient 1 and every other term is strictly lower.
+    with coefficient 1 and every other term is strictly lower; a direction outside d is refused.
     """
+    d._check_node(i)
     if not m.is_i_dominant(i):
         raise NotIDominantError(f"{m} is not {i}-dominant")
     return Character(d, {k: IntLaurent(c) for k, c, _ in _block(d, m, i, {}, {0: 1})})

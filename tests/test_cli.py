@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtchar import tableaux_a
 from qtchar.cli import UsageError, main, parse_diagram, parse_factors, run
 from qtchar.yalgebra import character_from_json, character_to_json
 from qtchar.rootdata import DynkinDiagram
@@ -75,6 +76,17 @@ def test_verify_passes():
         code, text = run(["--diagram", diagram, "verify", "--seed", "5"])
         assert code == 0, text
         assert "verify passed" in text
+
+
+def test_verify_reports_a_failed_check(monkeypatch):
+    # a wrong closed pair statistic fails its check, and verify exits 1
+    d_columns = tableaux_a.d_columns
+    monkeypatch.setattr(tableaux_a, "d_columns", lambda x, y: d_columns(x, y) + 1)
+    code, text = run(["--diagram", "A:2", "verify"])
+    lines = text.splitlines()
+    assert code == 1
+    assert "FAIL  closed pair statistic matches the pairing" in lines
+    assert lines[-1] == "verify failed (1)"
 
 
 def test_deterministic_output():
@@ -260,6 +272,14 @@ def test_usage_errors_exit_two():
     # a QtcharError that is not a usage error
     cases = (
         (["--diagram", "A:2", "standard"], 2, "standard expects at least one factor"),
+        (["--diagram", "A:2", "fundamental"], 2, "fundamental expects exactly one factor"),
+        # the diagram type is refused before the factor count
+        (["--diagram", "A:3", "spin"], 2, "spin expects a type D diagram"),
+        (["--diagram", "A:3", "restrict", "--factors", "1:a:0,2:a:0"], 2,
+         "restrict expects a type D diagram"),
+        (["--diagram", "D:4", "spin", "--factors", "spin+:a:0,spin-:a:0"], 2,
+         "spin expects exactly one spin factor"),
+        (["--diagram", "D:4", "spin"], 2, "spin expects exactly one spin factor"),
         (["--diagram", "A:3", "spin", "--factors", "1:a:0"], 2, "spin expects a type D diagram"),
         (["--diagram", "D:4", "spin", "--factors", "1:a:0"], 2, "spin expects exactly one spin factor"),
         (["--diagram", "A:2", "graph"], 2, "graph expects at least one factor"),

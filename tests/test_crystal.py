@@ -51,6 +51,7 @@ def test_operators_match_worked_example(a2):
     assert kashiwara_f(a2, m0, 2) == stepped
     assert kashiwara_e(a2, stepped, 2) == m0
     assert kashiwara_e(a2, ym((1, 0)), 1) is None
+    assert kashiwara_f(a2, ym((1, 0, -1)), 1) is None  # phi = 0
 
 
 def test_parity_set_and_coloring_fit(a2):
@@ -294,3 +295,5 @@ def test_layer_from_orientation(a2, a3):
     assert layer_from_orientation(a3, [(2, 1), (2, 3)]) == {1: 0, 2: 1, 3: 0}
     with pytest.raises(Exception):
         layer_from_orientation(a2, [(1, 2), (2, 1)])
+    with pytest.raises(QtcharError, match="^orientation must cover exactly the diagram edges$"):
+        layer_from_orientation(a3, [(2, 1)])

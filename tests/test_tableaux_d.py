@@ -93,6 +93,18 @@ def test_box_monomials():
     assert box_monomial(4, bar(3), q(0)) == ym((2, 3), (3, 4, -1), (4, 4, -1))
     with pytest.raises(OutOfRangeError):
         box_monomial(4, Letter(5), q(0))
+    # letters 1..n-2 take type A's box, a half box one step lower
+    assert box_monomial(5, Letter(3), q(0)) == ym((2, 3, -1), (3, 2))
+    assert half_box_monomial(5, Letter(3), q(0)) == ym((2, 2, -1), (3, 1))
+    assert half_box_monomial(5, Letter(1), q(4)) == ym((1, 3))
+    for n in (4, 5, 6):
+        for i in range(1, n - 1):
+            for s in (-3, 0, 2):
+                a = q(s, "b")
+                assert box_monomial(n, Letter(i), a) == tableaux_a.box_monomial(n, i, a)
+                assert half_box_monomial(n, Letter(i), a) == tableaux_a.box_monomial(
+                    n, i, a.shift(-1)
+                )
 
 
 def test_vector_chain_monomials_telescope():
@@ -371,7 +383,7 @@ def test_d_tableau_refuses_foreign_columns(d4):
             d_tableau(d4, (col,), pp)
 
 
-_A3, _D4 = DynkinDiagram.type_a(3), DynkinDiagram.type_d(4)
+_A3, _D4, _D5 = DynkinDiagram.type_a(3), DynkinDiagram.type_d(4), DynkinDiagram.type_d(5)
 _SPIN = enumerate_spin(4, q(0), "+")[0]
 _VEC = DColumn([Letter(1)], q(0))
 TYPED_REFUSALS = {
@@ -407,6 +419,10 @@ TYPED_REFUSALS = {
     "factor node": (
         lambda: standard_char_tableaux(_D4, DrinfeldData([(5, q(0))])),
         OutOfRangeError, "node 5 outside rank 4",
+    ),
+    "tableau factor node": (
+        lambda: d_tableau(_D5, (_VEC,), DrinfeldData([(6, q(0))])),
+        OutOfRangeError, "node 6 outside rank 5",
     ),
     "tableau width": (
         lambda: d_tableau(_D4, (_VEC, _VEC), DrinfeldData([(1, q(0))])),

@@ -290,6 +290,10 @@ def test_e_decompose_round_trips(a2):
 
     with pytest.raises(NotDecomposableError):
         e_decompose(a2, Character(a2, {ym((1, 2, -1)): ONE}), 1)
+    # Y(1,a) alone is not a block: stripping it leaves its second term behind
+    text = r"^maximal monomial Y\(2,aq\) Y\(1,aq\^2\)\^-1 is not 1-dominant$"
+    with pytest.raises(NotDecomposableError, match=text):
+        e_decompose(a2, Character(a2, {ym((1, 0)): ONE}), 1)
 
     # random combinations of blocks with incomparable dominant heads
     rng = random.Random(99)
@@ -326,6 +330,9 @@ def test_pairing_examples(a2):
     assert pairing_d(a2, top, top, m, top) == 0
     with pytest.raises(NotComparableError):
         pairing_d(a2, top, m, top, top)
+    text = r"^Y\(1,a\) is not below Y\(2,aq\) Y\(1,aq\^2\)\^-1$"
+    with pytest.raises(NotComparableError, match=text):  # the right term
+        pairing_d(a2, top, top, top, m)
 
 
 def test_pairing_second_term_depends_only_on_u_and_v(a2):
@@ -421,7 +428,8 @@ def test_character_json_round_trip(a2):
 
 def test_nodes_outside_the_diagram_are_refused(a2):
     # JSON comes from outside the program, and the height weights of
-    # e_decompose are indexed by node - 1, so node 0 would read the last one
+    # e_decompose and drop_degree are indexed by node - 1, so node 0 would
+    # read the last one
     for node in (0, a2.rank + 1):
         data = [{"monomial": [{"node": node, "base": "a", "qexp": 0, "exp": 1}],
                  "coeff": [{"texp": 0, "c": 1}]}]
@@ -429,6 +437,12 @@ def test_nodes_outside_the_diagram_are_refused(a2):
             character_from_json(a2, data)
         with pytest.raises(QtcharError, match=f"^unknown node {node}$"):
             e_decompose(a2, e_expansion(a2, ym((1, 0)), 1), node)
+        # unchecked, e_expansion gives the one-term block (1) Y(1,a)
+        with pytest.raises(QtcharError, match=f"^unknown node {node}$"):
+            e_expansion(a2, ym((1, 0)), node)
+        for m, mp in ((ym((node, 0)), ym((1, 0))), (ym((1, 0)), ym((node, 0)))):
+            with pytest.raises(QtcharError, match=f"^unknown node {node}$"):
+                drop_degree(a2, m, mp)
 
 
 def test_character_canonical_order(a2):
