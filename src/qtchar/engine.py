@@ -33,6 +33,7 @@ from .yalgebra import (
     Raw,
     Spectral,
     _HASH_MOD,
+    _Templates,
     _block,
     _class_product,
     _edge_key,
@@ -55,8 +56,7 @@ def fundamental_character(d: DynkinDiagram, f: FundamentalSpec) -> Character:
     order among those of the round that fails.  Raises CapExceededError once
     the closure has filed more than QCHAR_MAX_TERMS monomials.
     """
-    final, _ = _closure(d, f.top)
-    return Character._from_raw(d, final)
+    return Character._raw(d, _closed(d, f.top, False)[0])
 
 
 def _fundamental_terms(d: DynkinDiagram, f: FundamentalSpec) -> List[Term]:
@@ -65,15 +65,85 @@ def _fundamental_terms(d: DynkinDiagram, f: FundamentalSpec) -> List[Term]:
     Each profile is carried, not solved: it is the profile of the head whose
     block first reached the term, plus that block term's drops.
     """
-    final, origin = _closure(d, f.top)
-    profiles: Dict[Monomial, Profile] = {f.top: {}}
-    terms = []
-    # final holds each head before every monomial its blocks reached
-    for m, c in final.items():
+    terms, profiles = _closed(d, f.top, True)
+    return [(m, c._c, v) for (m, c), v in zip(terms.items(), profiles)]
+
+
+_templates = _Templates()  # the closure templates, one per top shape
+
+
+def _closed(
+    d: DynkinDiagram, top: Monomial, profiled: bool
+) -> Tuple[Dict[Monomial, IntLaurent], List[Profile]]:
+    """The closure's {monomial: IntLaurent} terms below top, each after the
+    head that reached it, and, if profiled, each term's drop profile.
+
+    Y(i, aq^k) -> Y(i, bq^(k+s)), one (b, s) per base, maps each axiom of the
+    closure to itself, so a shifted top's closure is the shifted closure.  A
+    shape (d, top's exponents by base slot and q offset from the base's first)
+    keeps its first call's terms and origins, compacts them on its first
+    reuse, and is re-keyed at each later top.  A warm call over the cap
+    refuses with the closure's text; a refusal is never kept.
+    """
+    frame: Dict[str, Tuple[int, int]] = {}  # base -> (slot, its first qexp)
+    shape = []
+    for (i, a), v in top.items():
+        slot, k = frame.setdefault(a.base, (len(frame), a.qexp))
+        shape.append((slot, i, a.qexp - k, v))
+    key = (d, tuple(shape))
+    template = _templates.take(key)
+    if template is None:
+        final, origin = _closure(d, top)
+        terms = Character._from_raw(d, final)._t
+        _templates.keep(key, (len(origin), frame, terms, origin))
+        if not profiled:
+            return terms, []
+        carried: Dict[Monomial, Profile] = {top: {}}
+        for m in final:  # final holds each head before every monomial it reached
+            head, drops = origin[m]
+            carried[m] = _axpy(dict(carried[head]), dict(drops))
+        return terms, [carried[m] for m in terms]
+    cap = env_cap()
+    if template[0] > cap:
+        raise CapExceededError(f"closure exceeded {cap} monomials")
+    if len(template) == 4:  # a first call's own terms, compacted on the first reuse
+        template = _templates[key] = _compact(*template)
+    _, variables, rows, coeffs, origins = template
+    bases = [(b, k) for b, (_, k) in frame.items()]  # by slot
+    keys = [(i, Spectral(bases[s][0], bases[s][1] + k)) for s, i, k in variables]
+    terms = dict(zip(Monomial._family(keys, rows), coeffs))
+    if not profiled:
+        return terms, []
+    profiles: List[Profile] = [{}]
+    for head, *drops in islice(origins, 1, None):
+        v = profiles[head].copy()
+        for j, r in zip(drops[::2], drops[1::2]):
+            v[keys[j]] = v.get(keys[j], 0) + r
+        profiles.append(v)
+    return terms, profiles
+
+
+def _compact(filed: int, frame: dict, terms: Dict[Monomial, IntLaurent], origin: dict) -> tuple:
+    """A first call's template compacted: the variables as (slot, node, q
+    offset), the terms' _family rows, their coefficients, and each term's
+    origin as one tuple (head index, position, count, position, count, ...)
+    of its drops, a head whose coefficient cancelled replaced by the nearest
+    kept one."""
+    index: Dict[Tuple[int, Spectral], int] = {}
+    rows = Monomial._rows(terms, index)
+    place = {m: j for j, m in enumerate(terms)}
+    origins = []
+    for m in terms:
         head, drops = origin[m]
-        v = profiles[m] = _axpy(dict(profiles[head]), dict(drops))
-        terms.append((m, c, v))
-    return terms
+        while head not in place:
+            head, more = origin[head]
+            drops += more
+        flat = [place[head]]
+        for k, r in drops:
+            flat += (index.setdefault(k, len(index)), r)
+        origins.append(tuple(flat))
+    variables = tuple((frame[a.base][0], i, a.qexp - frame[a.base][1]) for i, a in index)
+    return filed, variables, rows, list(terms.values()), origins
 
 
 def _closure(d: DynkinDiagram, top: Monomial) -> Tuple[Raw, Dict[Monomial, tuple]]:
@@ -323,8 +393,10 @@ def gamma_graph(chi: Character) -> GammaGraph:
     The support is indexed by its monomials' additive hashes: a drop
     subtracts hash(A(i,a)) modulo _HASH_MOD, and a hash hit patches m1 with
     the drop (Monomial._patched) and compares the result's exponent map with
-    the maps of that hash, so a collision cannot change an edge.  An edge
-    holds the support's own monomials.
+    the maps of that hash, so a collision cannot change an edge.  Each hash
+    h is filed under h and h - _HASH_MOD, so the difference h1 - hs, which
+    lies between them, is looked up as it is.  An edge holds the support's
+    own monomials.
     """
     d = chi.diagram
     keys = {k for m in chi._t for k in m._e}
@@ -336,12 +408,14 @@ def gamma_graph(chi: Character) -> GammaGraph:
             drops.append((step._hash, i, a, [(k, -v) for k, v in step._e.items()]))
     index: Dict[int, List[Monomial]] = {}
     for m in chi._t:
-        index.setdefault(m._hash, []).append(m)
+        hits = index.setdefault(m._hash, [])
+        hits.append(m)
+        index[m._hash - _HASH_MOD] = hits
     edges = []
     for m1 in chi._t:
         h1 = m1._hash
         for hs, i, a, down in drops:
-            hits = index.get((h1 - hs) % _HASH_MOD)
+            hits = index.get(h1 - hs)
             if hits is None:
                 continue
             e = m1._patched(down, -hs)._e  # its hash is that of the hits

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import CapExceededError, OutOfRangeError, env_cap
 from .rootdata import DynkinDiagram
 from .yalgebra import Character, DrinfeldData, FundamentalSpec, Monomial, Raw, Spectral
-from .yalgebra import _class_product
+from .yalgebra import _TEMPLATE_ROWS, _class_product, _Templates
 
 
 class Column:
@@ -140,12 +140,8 @@ def _columns(n: int, f: FundamentalSpec) -> List[AColumn]:
 
 PoolRow = Tuple[Column, Monomial, int]
 
-# The most template rows _templates keeps: any one pool of A1-A13, D4-D9 or
-# the spin columns up to D13 fits (0.7 MiB at A13 node 7, 1.0 MiB at D13
-# spin).  The least recently used templates go first; a larger pool is built
-# for its call alone, as is.
-_TEMPLATE_ROWS = 4096
-_templates: Dict[tuple, tuple] = {}
+# The pool templates, one per shape (see _pool)
+_templates = _Templates()
 
 
 def _pool(n: int, columns: Callable, f: FundamentalSpec) -> List[PoolRow]:
@@ -159,24 +155,16 @@ def _pool(n: int, columns: Callable, f: FundamentalSpec) -> List[PoolRow]:
     shift, then re-keys each row (Monomial._family) and builds its column at f."""
     key = (columns, n, f.node)
     a = f.spectral
-    template = _templates.pop(key, None)  # put back last: most recently used
+    template = _templates.take(key)
     if template is None:
         pool = [(col, column_monomial(n, col), col.l_degree(n)) for col in columns(n, f)]
-        if len(pool) <= _TEMPLATE_ROWS:
-            index, pairs, rows = {}, {}, []  # pairs keeps one object per equal pair
-            for col, m, deg in pool:
-                items = []
-                for pair in m._e.items():
-                    pair = (index.setdefault(pair[0], len(index)), pair[1])
-                    items.append(pairs.setdefault(pair, pair))
-                rows.append(tuple(items))
+        if len(pool) <= _TEMPLATE_ROWS:  # a larger pool is not kept
+            index: dict = {}
+            rows = Monomial._rows((m for _, m, _ in pool), index)
             cols, _, degs = zip(*pool)
             variables = tuple((i, b.qexp - a.qexp) for i, b in index)
-            _templates[key] = (type(cols[0]), variables, rows, [c.entries for c in cols], degs)
-            while sum(len(t[2]) for t in _templates.values()) > _TEMPLATE_ROWS:
-                del _templates[next(iter(_templates))]
+            _templates.keep(key, (type(cols[0]), variables, rows, [c.entries for c in cols], degs))
         return pool
-    _templates[key] = template
     kind, variables, rows, entries, degs = template
     keys = [(i, Spectral(a.base, k + a.qexp)) for i, k in variables]
     return list(zip(map(kind, entries, repeat(a)), Monomial._family(keys, rows), degs))

@@ -178,12 +178,18 @@ def _vector_count(n: int, N: int) -> int:
     return sum(comb(2 * n, N - 2 * k) for k in range(N // 2 + 1))
 
 
+@lru_cache(maxsize=None)
+def _successors(n: int) -> Tuple[List[Letter], List[List[int]]]:
+    """The alphabet, and after[j]: the positions of the letters that may
+    follow letters[j] in a vector column."""
+    letters = alphabet(n)
+    return letters, [[k for k, x in enumerate(letters) if not preceq(n, x, y)] for y in letters]
+
+
 def enumerate_fundamental_columns(n: int, N: int, a: Spectral) -> List[DColumn]:
     """All admissible vector columns of length N at center a."""
     _vector_count(n, N)  # refuses N outside 1..n-2
-    letters = alphabet(n)
-    # after[j]: the positions of the letters that may follow letters[j]
-    after = [[k for k, x in enumerate(letters) if not preceq(n, x, y)] for y in letters]
+    letters, after = _successors(n)
     cols: List[DColumn] = []
     prefix: List[Letter] = []
 
@@ -220,16 +226,21 @@ def enumerate_spin(n: int, a: Spectral, chirality: str) -> List[SpinColumn]:
     """The 2^(n-1) spin columns: one letter per {i, ibar} class, sorted,
     with an even ('+') or odd ('-') number of barred letters."""
     _spin_count(n, chirality)  # refuses a rank below 4 or a bad chirality
-    letters = alphabet(n)  # shared by every column; barred i sits at 2n - i
-    cols = []
-    for signs in product((False, True), repeat=n - 1):
-        barred = [i for i in range(1, n) if signs[i - 1]]
-        n_barred = (len(barred) % 2 == 1) == (chirality == "+")
-        entries = [letters[i - 1] for i in range(1, n) if not signs[i - 1]]
-        entries.append(letters[n if n_barred else n - 1])
-        entries += [letters[2 * n - i] for i in reversed(barred)]
-        cols.append(SpinColumn(entries, a))
-    return cols
+    letters = alphabet(n)  # shared by every column
+    return [
+        SpinColumn(_spin_entries(n, letters, signs, chirality), a)
+        for signs in product((False, True), repeat=n - 1)
+    ]
+
+
+def _spin_entries(n: int, letters: list, signs: Sequence[bool], chirality: str) -> List[Letter]:
+    """The spin column's entries with ibar for each i < n with signs[i - 1],
+    and n or nbar as the chirality asks; barred i sits at letters[2n - i]."""
+    barred = [i for i in range(1, n) if signs[i - 1]]
+    n_barred = (len(barred) % 2 == 1) == (chirality == "+")
+    entries = [letters[i - 1] for i in range(1, n) if not signs[i - 1]]
+    entries.append(letters[n if n_barred else n - 1])
+    return entries + [letters[2 * n - i] for i in reversed(barred)]
 
 
 def spin_char(d: DynkinDiagram, a: Spectral, chirality: str) -> Character:
@@ -373,6 +384,22 @@ def _count(n: int, f: FundamentalSpec) -> int:
     raise OutOfRangeError(f"node {f.node} outside rank {n}")
 
 
+def _realizes(n: int, f: FundamentalSpec, col) -> bool:
+    """Whether col is one of _columns(n, f), read off col alone: a spin column
+    is rebuilt from its barred letters, a vector column's letters are read
+    through the enumerator's successor table."""
+    _count(n, f)  # refuses a node that type D does not realize
+    if f.node > n - 2:
+        signs = [type(col) is SpinColumn and bar(i) in col.entries for i in range(1, n)]
+        chirality = "+" if f.node == n else "-"
+        return col == SpinColumn(_spin_entries(n, alphabet(n), signs, chirality), f.spectral)
+    if type(col) is not DColumn or len(col.entries) != f.node or col.center != f.spectral:
+        return False
+    letters, after = _successors(n)
+    ks = [letters.index(x) if x in letters else None for x in col.entries]
+    return None not in ks and all(k in after[j] for j, k in zip(ks, ks[1:]))
+
+
 def _twist_table(n: int, xs: Sequence[PoolRow], ys: Sequence[PoolRow]) -> List[List[int]]:
     """Twist exponents of the ordered column pairs of two same-class pools.
 
@@ -410,7 +437,7 @@ def d_tableau(d: DynkinDiagram, t: DTableau, p: DrinfeldData) -> int:
     if len(p.roots) != len(t):
         raise QtcharError("tableau width differs from the factor count")
     for f, col in zip(p.roots, t):
-        if col not in _columns(n, f):
+        if not _realizes(n, f, col):
             raise QtcharError(f"column {col} does not realize factor {f}")
     rows = [(col, column_monomial(n, col), col.l_degree(n)) for col in t]
     return sum(

@@ -125,6 +125,18 @@ class Monomial:
         return out
 
     @staticmethod
+    def _rows(ms: Iterable["Monomial"], index: Dict[Tuple[int, Spectral], int]) -> List[tuple]:
+        """_family's rows of the monomials ms, over the variables that index,
+        a {variable: position} map extended in place, numbers; equal
+        (position, exponent) pairs are one object."""
+        pairs: dict = {}
+        rows = []
+        for m in ms:
+            row = ((index.setdefault(k, len(index)), v) for k, v in m._e.items())
+            rows.append(tuple(pairs.setdefault(p, p) for p in row))
+        return rows
+
+    @staticmethod
     def one() -> "Monomial":
         return _UNIT
 
@@ -205,6 +217,33 @@ class Monomial:
 
 
 _UNIT = Monomial()
+
+
+# The most rows one _Templates keeps: it holds any one tableaux pool of A1-A13,
+# D4-D9 or the spin columns up to D13, and every closure of A1-A13 and D4-D7.
+_TEMPLATE_ROWS = 4096
+
+
+class _Templates(dict):
+    """Translation templates by shape, least recently used first, within
+    _TEMPLATE_ROWS rows in all; a template's item 2 holds its rows."""
+
+    __slots__ = ()
+
+    def take(self, key):
+        """The template under key, made the most recently used; None on a miss."""
+        template = self.pop(key, None)
+        if template is not None:
+            self[key] = template
+        return template
+
+    def keep(self, key, template: tuple) -> None:
+        """Keep template unless it is over the budget, evicting the least
+        recently used templates past it."""
+        if len(template[2]) <= _TEMPLATE_ROWS:
+            self[key] = template
+            while sum(len(t[2]) for t in self.values()) > _TEMPLATE_ROWS:
+                del self[next(iter(self))]
 
 
 def _text(m: Monomial, names: Dict[Tuple[int, Spectral], str]) -> str:

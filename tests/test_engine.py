@@ -24,7 +24,7 @@ from qtchar.errors import (
     NotComparableError,
     QtcharError,
 )
-from qtchar.laurent import ONE, IntLaurent
+from qtchar.laurent import ONE, IntLaurent, _axpy
 from qtchar.rootdata import DynkinDiagram
 from qtchar.yalgebra import (
     Character,
@@ -162,6 +162,7 @@ def test_closure_drops_the_pending_entries_it_has_flushed():
     # pending row is popped
     d7, f = DynkinDiagram.type_d(7), FundamentalSpec(4, q(0))
     fundamental_character(d7, f)  # fill the per-diagram caches first
+    engine._templates.clear()  # so the closure runs again
     tracemalloc.start()
     try:
         fundamental_character(d7, f)
@@ -348,6 +349,8 @@ def test_engine_builds_each_invariant_once(d5, monkeypatch):
             lambda w, m: heights.append(m) or real_height(w, m),
             raising=False,
         )
+    # the closure runs only on a shape the engine has no template for
+    engine._templates.clear()
     fundamental_character(DynkinDiagram.type_d(7), FundamentalSpec(4, q(0)))
     assert factors and len(factors) == len(set(factors))
     # each monomial's drop degree is carried from the block term that reached it
@@ -362,6 +365,7 @@ def test_engine_builds_each_invariant_once(d5, monkeypatch):
             lambda d, m, mp, real=real_profile: profiles.append(m) or real(d, m, mp),
         )
     fs = parse_factors(d5, "1:a:0,2:a:1,spin+:a:2")
+    engine._templates.clear()
     standard_character(d5, DrinfeldData(fs))
     # the closure carries every fundamental term's profile: nothing is solved
     assert profiles == []
@@ -613,3 +617,155 @@ def test_rescaled_tilde(a2):
     assert tilde.coeff(f.top) == ONE
     for m, c in tilde.items():
         assert c  # rescaling never kills a term
+
+
+def direct_closure(d, top):
+    """The closure's own terms below top, and each term's drop profile
+    carried from the head and drops that first reached it."""
+    final, origin = engine._closure(d, top)
+    profiles = {top: {}}
+    for m in final:
+        head, drops = origin[m]
+        profiles[m] = _axpy(dict(profiles[head]), dict(drops))
+    return Character._from_raw(d, final), profiles
+
+
+def test_translated_closures_are_the_direct_closures():
+    # every node of A1-A8 and D4-D8: the first call, at cq^2, keeps its
+    # shape, the second compacts it, and each call translates it to its own
+    # centre, three of them on two bases.  D8 nodes 5 and 6 exceed the row
+    # budget: they close every time, so one centre serves them.  The carried
+    # profiles are checked against v_profile on every shape of at most 600
+    # terms, at the last centre
+    diagrams = [DynkinDiagram.type_a(n) for n in range(1, 9)]
+    diagrams += [DynkinDiagram.type_d(n) for n in range(4, 9)]
+    engine._templates.clear()
+    for d in diagrams:
+        for node in d.nodes:
+            for a in (q(2, "c"), q(0), q(-3), q(5, "b")):
+                f = FundamentalSpec(node, a)
+                chi, profiles = direct_closure(d, f.top)
+                assert fundamental_character(d, f) == chi
+                terms = engine._fundamental_terms(d, f)
+                assert len(terms) == len(chi)
+                for m, c, v in terms:
+                    assert chi._t[m]._c == c and v == profiles[m]
+                    # the map __init__ gives, hashed as __init__ hashes it
+                    assert hash(m) == hash(Monomial(dict(m._e)))
+                kept = (d, ((0, node, 0, 1),)) in engine._templates
+                assert kept == (len(chi) <= yalgebra._TEMPLATE_ROWS)
+                if not kept:
+                    break
+            if len(chi) <= 600:
+                assert all(v == yalgebra.v_profile(d, m, f.top) for m, _, v in terms)
+
+
+def test_duck_typed_tops_share_the_shape_path(a2, d4):
+    # a top of two bases is kept under its shape, with each base relabelled
+    # to its slot, and translated for another pair of bases and shifts
+    engine._templates.clear()
+    for top in (
+        Monomial.from_factors([(2, q(2), 1), (1, q(3), 1), (1, q(4), 1)]),
+        Monomial.from_factors([(1, q(0), 1), (2, q(1, "b"), 1)]),
+    ):
+        for k, (x, y) in enumerate([("a", "b"), ("b", "a"), ("c", "z"), ("u", "v")]):
+            moved = Monomial.from_factors(
+                (i, Spectral({"a": x, "b": y}[b.base], b.qexp + k), v) for (i, b), v in top.items()
+            )
+            chi = fundamental_character(a2, SimpleNamespace(top=moved))
+            assert chi == direct_closure(a2, moved)[0]
+    assert len(engine._templates) == 3  # (a, b) -> (b, a) swaps the slots' order
+
+
+def test_warm_templates_refuse_with_the_closure_text(monkeypatch):
+    # D7 node 4 files 1001 monomials: a warm call refuses under a cap of 1000
+    # before it translates, with the closure's own text, and passes at 1001
+    d7 = DynkinDiagram.type_d(7)
+    engine._templates.clear()
+    fundamental_character(d7, FundamentalSpec(4, q(0)))
+    monkeypatch.setattr(engine, "_closure", lambda *args: pytest.fail("closed a kept shape"))
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "1000")
+    calls = [
+        lambda: fundamental_character(d7, FundamentalSpec(4, q(3, "b"))),
+        lambda: engine._fundamental_terms(d7, FundamentalSpec(4, q(0))),
+        lambda: standard_character(d7, DrinfeldData([(4, q(1)), (4, q(4, "b"))])),
+    ]
+    for call in calls:
+        with pytest.raises(CapExceededError) as info:
+            call()
+        assert str(info.value) == "closure exceeded 1000 monomials"
+    monkeypatch.undo()
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "1000")
+    engine._templates.clear()
+    with pytest.raises(CapExceededError) as info:
+        fundamental_character(d7, FundamentalSpec(4, q(3, "b")))
+    assert str(info.value) == "closure exceeded 1000 monomials"
+    assert engine._templates == {}
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "1001")
+    fundamental_character(d7, FundamentalSpec(4, q(0)))
+    assert len(fundamental_character(d7, FundamentalSpec(4, q(3, "b")))) == 1001
+
+
+def test_refusing_tops_are_never_kept(a2, d5, monkeypatch):
+    closures = []
+    real = engine._closure
+    monkeypatch.setattr(engine, "_closure", lambda d, top: closures.append(top) or real(d, top))
+    monkeypatch.setenv("QCHAR_MAX_TERMS", "2000")
+    runaway = Monomial.from_factors([(1, q(2), 1), (3, q(-1, "b"), 2), (3, q(2, "b"), 1)])
+    refusals = [
+        (a2, ym((1, 0, -1)), "residual 1 at non-1-dominant Y(1,a)^-1"),
+        (a2, ym((2, -2), (2, 0), (2, 2, 2)),
+         "dominant monomial Y(2,aq^-2) Y(1,aq) Y(2,aq^2) appeared below the top; "
+         "the inductive method does not apply"),
+        (d5, runaway, "closure exceeded 2000 monomials"),
+        (a2, ym((7, 0)), "unknown node 7"),
+    ]
+    engine._templates.clear()
+    for d, top, message in refusals:
+        for _ in range(2):
+            with pytest.raises(QtcharError) as info:
+                fundamental_character(d, SimpleNamespace(top=top))
+            assert str(info.value) == message
+    assert engine._templates == {}
+    assert closures == [top for _, top, _ in refusals for _ in range(2)]
+
+
+def test_warm_calls_return_fresh_characters(a2):
+    # no memo: every call re-keys its own terms, at the template's own centre too
+    d7 = DynkinDiagram.type_d(7)
+    engine._templates.clear()
+    for d, f in ((a2, FundamentalSpec(1, q(0))), (d7, FundamentalSpec(7, q(-2, "b")))):
+        chis = [fundamental_character(d, f) for _ in range(3)]
+        assert chis[0] == chis[1] == chis[2]
+        assert len({id(chi) for chi in chis}) == len({id(chi._t) for chi in chis}) == 3
+        assert len({id(m) for chi in chis for m in chi._t}) == 3 * len(chis[0])
+
+
+def test_each_route_keeps_its_own_templates():
+    # a tableaux pool as large as the budget evicts no engine template
+    d7 = DynkinDiagram.type_d(7)
+    engine._templates.clear()
+    fundamental_character(d7, FundamentalSpec(4, q(0)))
+    kept = list(engine._templates)
+    tableaux_a._templates.clear()
+    tableaux_a.fundamental_char_tableaux(DynkinDiagram.type_a(13), 7, q(0))  # 3432 rows
+    tableaux_a.fundamental_char_tableaux(DynkinDiagram.type_a(13), 6, q(0))  # 3003 rows
+    assert len(tableaux_a._templates) == 1
+    assert list(engine._templates) == kept and engine._templates is not tableaux_a._templates
+
+
+def test_compaction_carries_drops_past_a_head_whose_coefficient_cancelled(a2):
+    # no closure found so far files a head whose coefficient cancels; if one
+    # did, the terms it reached would keep its origin, and their profiles
+    # must carry its drops too.  A2 node 1 closes Y(1,a) -> Y(1,aq^2)^-1
+    # Y(2,aq) -> Y(2,aq^3)^-1: drop the middle term from a kept template
+    f = FundamentalSpec(1, q(0))
+    engine._templates.clear()
+    fundamental_character(a2, f)
+    (key, (filed, frame, terms, origin)), = engine._templates.items()
+    mid = list(terms)[1]
+    engine._templates[key] = (filed, frame, {m: c for m, c in terms.items() if m != mid}, origin)
+    g = FundamentalSpec(1, q(4, "b"))
+    (m0, _, v0), (m2, _, v2) = engine._fundamental_terms(a2, g)
+    assert m0 == g.top and v0 == {}
+    assert v2 == yalgebra.v_profile(a2, m2, g.top) and len(v2) == 2

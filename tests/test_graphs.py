@@ -10,7 +10,7 @@ from qtchar.crystal import _vertex_stats, eps, p_index, phi, q_index
 from qtchar.engine import GammaGraph, gamma_graph, standard_character
 from qtchar.laurent import ONE, IntLaurent
 from qtchar.rootdata import DynkinDiagram
-from qtchar.yalgebra import Character, DrinfeldData, Monomial, Spectral, a_monomial
+from qtchar.yalgebra import _HASH_MOD, Character, DrinfeldData, Monomial, Spectral, a_monomial
 
 from conftest import eps_n, phi_n, q
 
@@ -128,3 +128,19 @@ def test_line_statistics_match_partial_sums(i, line, others):
         want = partial_sum_stats(m, j)
         assert stats.get(j, (0, 0, None, None)) == want
         assert (eps(m, j), phi(m, j), p_index(m, j), q_index(m, j)) == want
+
+
+def test_gamma_graph_finds_pairs_whose_hash_difference_wraps(a2):
+    # m2 = m1 * A(1,aq)^-1; the search looks m2 up at h1 - hash(A(1,aq)).
+    # Hashes are seed-dependent, so the pair is rebuilt on fixed hashes:
+    # h1 just below the drop's hash makes the difference -1, whose reduction
+    # is _HASH_MOD - 1, and h1 above it leaves the difference as it is
+    hs = a_monomial(a2, 1, q(1))._hash
+    e1 = dict(Monomial.y(1, q(0))._e)
+    e2 = dict((Monomial.y(1, q(0)) * a_monomial(a2, 1, q(1)).inv())._e)
+    for h1 in (hs - 1, hs, hs + 5):
+        m1 = Monomial._raw(dict(e1), h1)
+        m2 = Monomial._raw(dict(e2), h1 - hs)
+        g = gamma_graph(Character(a2, {m1: ONE, m2: ONE}))
+        assert g.edges == {(m1, m2, 1, q(1))}
+    assert Monomial._raw(dict(e2), -1)._hash == _HASH_MOD - 1

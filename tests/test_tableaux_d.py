@@ -588,3 +588,28 @@ def test_render_and_json():
         "base": "a",
         "qexp": -1,
     }
+
+
+def test_column_membership_agrees_with_the_enumerated_pools():
+    # d_tableau reads a column's membership off the column; the enumerated
+    # pool (as a set: Column hashes agree with its equality) must say the
+    # same on every column of every D4-D7 pool and on each one-letter change
+    for n in range(4, 8):
+        letters = alphabet(n)
+        for node in range(1, n + 1):
+            f = FundamentalSpec(node, q(1, "b"))
+            pool = tableaux_d._columns(n, f)
+            members = set(pool)
+            kind = type(pool[0])
+            seen = set()
+            for col in pool:
+                for p in range(col.length):
+                    for x in letters:
+                        entries = col.entries[:p] + (x,) + col.entries[p + 1:]
+                        seen.add(entries)
+            for entries in seen:
+                col = kind(entries, f.spectral)
+                assert tableaux_d._realizes(n, f, col) == (col in members), (n, node, col)
+            assert sum(kind(e, f.spectral) in members for e in seen) == len(pool)
+            others = [kind(pool[0].entries, q(1)), AColumn([1], f.spectral), "x"]
+            assert not any(tableaux_d._realizes(n, f, col) for col in others)

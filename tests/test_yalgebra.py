@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtchar import yalgebra
 from qtchar.errors import (
     CapExceededError,
     MixedBaseError,
@@ -487,3 +488,26 @@ def test_from_raw_shares_equal_coefficients(a2):
     assert c[ym((1, 0))] is c[ym((2, 0))] and c[ym((1, 2))] is c[ym((2, 2))]
     assert c[ym((1, 0))] is not c[ym((1, 2))]
     assert len({id(v) for v in c.values()}) == 3
+
+
+def test_templates_keep_their_row_budget_least_recently_used_first():
+    budget = yalgebra._TEMPLATE_ROWS
+    store = yalgebra._Templates()
+
+    def template(rows):
+        return (None, None, range(rows))
+
+    for key, rows in (("a", budget // 2), ("b", budget // 4), ("c", budget // 4)):
+        store.keep(key, template(rows))
+    assert list(store) == ["a", "b", "c"]
+    # a hit makes its template the most recently used; a miss changes nothing
+    assert len(store.take("a")[2]) == budget // 2 and list(store) == ["b", "c", "a"]
+    assert store.take("z") is None and list(store) == ["b", "c", "a"]
+    # one row past the budget evicts the least recently used template
+    store.keep("d", template(1))
+    assert list(store) == ["c", "a", "d"]
+    # a template over the budget is not kept, and evicts nothing
+    store.keep("e", template(budget + 1))
+    assert list(store) == ["c", "a", "d"]
+    store.keep("f", template(budget))
+    assert list(store) == ["f"]
