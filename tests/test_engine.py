@@ -660,7 +660,7 @@ def test_translated_closures_are_the_direct_closures():
                 assert all(v == yalgebra.v_profile(d, m, f.top) for m, _, v in terms)
 
 
-def test_duck_typed_tops_share_the_shape_path(a2, d4):
+def test_duck_typed_tops_share_the_shape_path(a2):
     # a top of two bases is kept under its shape, with each base relabelled
     # to its slot, and translated for another pair of bases and shifts
     engine._templates.clear()
@@ -766,6 +766,9 @@ def test_compaction_carries_drops_past_a_head_whose_coefficient_cancelled(a2):
     mid = list(terms)[1]
     engine._templates[key] = (filed, frame, {m: c for m, c in terms.items() if m != mid}, origin)
     g = FundamentalSpec(1, q(4, "b"))
-    (m0, _, v0), (m2, _, v2) = engine._fundamental_terms(a2, g)
+    try:
+        (m0, _, v0), (m2, _, v2) = engine._fundamental_terms(a2, g)
+    finally:
+        engine._templates.clear()  # the doctored template must not reach other tests
     assert m0 == g.top and v0 == {}
     assert v2 == yalgebra.v_profile(a2, m2, g.top) and len(v2) == 2
