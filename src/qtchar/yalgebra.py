@@ -126,9 +126,9 @@ class Monomial:
 
     @staticmethod
     def _rows(ms: Iterable["Monomial"], index: Dict[Tuple[int, Spectral], int]) -> List[tuple]:
-        """_family's rows of the monomials ms, over the variables that index,
-        a {variable: position} map extended in place, numbers; equal
-        (position, exponent) pairs are one object."""
+        """_family's rows of the monomials ms: their (position, exponent)
+        pairs, with positions from index, a {variable: position} map that is
+        extended in place; equal pairs are one object."""
         pairs: dict = {}
         rows = []
         for m in ms:

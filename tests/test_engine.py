@@ -31,6 +31,7 @@ from qtchar.yalgebra import (
     DrinfeldData,
     Monomial,
     Spectral,
+    a_monomial,
     e_decompose,
     is_right_negative,
     leq,
@@ -582,8 +583,6 @@ def test_gamma_graph_worked_example_one(a2):
     assert reference <= g.edges
     assert g.edges - reference == extra
     # every edge divides out exactly one root monomial
-    from qtchar.yalgebra import a_monomial
-
     for m1, m2, i, a in g.edges:
         assert m2 == m1 * a_monomial(a2, i, a).inv()
 
@@ -634,9 +633,11 @@ def test_translated_closures_are_the_direct_closures():
     # every node of A1-A8 and D4-D8: the first call, at cq^2, keeps its
     # shape, the second compacts it, and each call translates it to its own
     # centre, three of them on two bases.  D8 nodes 5 and 6 exceed the row
-    # budget: they close every time, so one centre serves them.  The carried
-    # profiles are checked against v_profile on every shape of at most 600
-    # terms, at the last centre
+    # budget: they close every time, so one centre serves them.  At the last
+    # centre the carried profiles are checked against v_profile on every
+    # shape of at most 600 terms, and on the larger ones (D7 nodes 4-5, D8
+    # nodes 4-6) by the property that defines v_profile: each profile is
+    # nonnegative and rebuilds its term from the top
     diagrams = [DynkinDiagram.type_a(n) for n in range(1, 9)]
     diagrams += [DynkinDiagram.type_d(n) for n in range(4, 9)]
     engine._templates.clear()
@@ -658,6 +659,14 @@ def test_translated_closures_are_the_direct_closures():
                     break
             if len(chi) <= 600:
                 assert all(v == yalgebra.v_profile(d, m, f.top) for m, _, v in terms)
+                continue
+            steps = {}
+            for m, _, v in terms:
+                rebuilt = f.top
+                for (i, b), r in v.items():
+                    step = steps.get((i, b)) or steps.setdefault((i, b), a_monomial(d, i, b).inv())
+                    rebuilt = rebuilt * step**r
+                assert rebuilt == m and min(v.values(), default=1) > 0
 
 
 def test_duck_typed_tops_share_the_shape_path(a2):
