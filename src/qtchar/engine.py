@@ -11,6 +11,7 @@ the classes multiply with no twist.
 
 from __future__ import annotations
 
+from array import array
 from itertools import count, islice
 from typing import Dict, Iterable, List, Tuple
 
@@ -81,9 +82,11 @@ def _closed(
     Y(i, aq^k) -> Y(i, bq^(k+s)), one (b, s) per base, maps each axiom of the
     closure to itself, so a shifted top's closure is the shifted closure.  A
     shape (d, top's exponents by base slot and q offset from the base's first)
-    keeps its first call's terms and origins, compacts them on its first
-    reuse, and is re-keyed at each later top.  A warm call over the cap
-    refuses with the closure's text; a refusal is never kept.
+    closes once: its first call returns the closure's own terms and keeps
+    their template (_compact), and every later call moves the template's
+    variables to its top and rebuilds each term as its head times its step.
+    A warm call over the cap refuses with the closure's text; a refusal is
+    never kept.
     """
     frame: Dict[str, Tuple[int, int]] = {}  # base -> (slot, its first qexp)
     shape = []
@@ -95,55 +98,64 @@ def _closed(
     if template is None:
         final, origin = _closure(d, top)
         terms = Character._from_raw(d, final)._t
-        _templates.keep(key, (len(origin), frame, terms, origin))
-        if not profiled:
-            return terms, []
-        carried: Dict[Monomial, Profile] = {top: {}}
-        for m in final:  # final holds each head before every monomial it reached
-            head, drops = origin[m]
-            carried[m] = _axpy(dict(carried[head]), dict(drops))
-        return terms, [carried[m] for m in terms]
-    cap = env_cap()
-    if template[0] > cap:
-        raise CapExceededError(f"closure exceeded {cap} monomials")
-    if len(template) == 4:  # a first call's own terms, compacted on the first reuse
-        template = _templates[key] = _compact(*template)
-    _, variables, rows, coeffs, origins = template
-    bases = [(b, k) for b, (_, k) in frame.items()]  # by slot
-    keys = [(i, Spectral(bases[s][0], bases[s][1] + k)) for s, i, k in variables]
-    terms = dict(zip(Monomial._family(keys, rows), coeffs))
+        template = _compact(len(origin), frame, terms, origin)
+        _templates.keep(key, template)
+        keys = template[1]
+    elif template[0] > env_cap():
+        raise CapExceededError(f"closure exceeded {env_cap()} monomials")
+    else:
+        _, variables, coeffs, heads, kinds, steps, kept = template
+        bases = list(frame)  # by slot
+        # each of the template's bases -> (this call's base in its slot, q shift)
+        moved = {b: (bases[s], frame[bases[s]][1] - k) for b, (s, k) in kept.items()}
+        keys = [(i, Spectral(moved[a.base][0], a.qexp + moved[a.base][1])) for i, a in variables]
+        moves = Monomial._family(keys, (row for _, row in steps))
+        ms = [top]
+        for head, j in zip(heads, kinds):
+            ms.append(ms[head] * moves[j])
+        terms = dict(zip(ms, coeffs))
     if not profiled:
         return terms, []
+    heads, kinds, steps = template[3:6]
     profiles: List[Profile] = [{}]
-    for head, *drops in islice(origins, 1, None):
+    for head, j in zip(heads, kinds):
         v = profiles[head].copy()
-        for j, r in zip(drops[::2], drops[1::2]):
-            v[keys[j]] = v.get(keys[j], 0) + r
+        for k, r in steps[j][0]:
+            v[keys[k]] = v.get(keys[k], 0) + r
         profiles.append(v)
     return terms, profiles
 
 
 def _compact(filed: int, frame: dict, terms: Dict[Monomial, IntLaurent], origin: dict) -> tuple:
-    """A first call's template compacted: the variables as (slot, node, q
-    offset), the terms' _family rows, their coefficients, and each term's
-    origin as one tuple (head index, position, count, position, count, ...)
-    of its drops, a head whose coefficient cancelled replaced by the nearest
-    kept one."""
+    """A closure's template: the filed count, the variables, the terms'
+    coefficients, each term's origin below the top as the index of its head
+    and of its step, the distinct steps, each as its drops ((variable index,
+    count) pairs) and the _family row of the monomial prod A^-count that
+    takes a head to the term, and frame.  Every head is one of the terms,
+    before every term it reached: it was flushed with a nonempty raw map,
+    and no closure found leaves a zero in one."""
+    place = dict(zip(terms, count()))
+    seen: Dict[tuple, int] = {}
     index: Dict[Tuple[int, Spectral], int] = {}
-    rows = Monomial._rows(terms, index)
-    place = {m: j for j, m in enumerate(terms)}
-    origins = []
-    for m in terms:
-        head, drops = origin[m]
-        while head not in place:
-            head, more = origin[head]
-            drops += more
-        flat = [place[head]]
-        for k, r in drops:
-            flat += (index.setdefault(k, len(index)), r)
-        origins.append(tuple(flat))
-    variables = tuple((frame[a.base][0], i, a.qexp - frame[a.base][1]) for i, a in index)
-    return filed, variables, rows, list(terms.values()), origins
+    heads, kinds, steps = array("i"), array("i"), []
+    for m in islice(terms, 1, None):
+        head, v = origin[m]
+        j = seen.setdefault(v, len(steps))
+        if j == len(steps):
+            step = m._e.copy()  # m / head
+            for k, u in head._e.items():
+                u = step.get(k, 0) - u
+                if u:
+                    step[k] = u
+                else:
+                    del step[k]
+            steps.append((
+                tuple([(index.setdefault(k, len(index)), r) for k, r in v]),
+                tuple([(index.setdefault(k, len(index)), u) for k, u in step.items()]),
+            ))
+        heads.append(place[head])
+        kinds.append(j)
+    return filed, list(index), list(terms.values()), heads, kinds, steps, frame
 
 
 def _closure(d: DynkinDiagram, top: Monomial) -> Tuple[Raw, Dict[Monomial, tuple]]:

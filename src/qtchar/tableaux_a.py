@@ -159,8 +159,13 @@ def _pool(n: int, columns: Callable, f: FundamentalSpec) -> List[PoolRow]:
     if template is None:
         pool = [(col, column_monomial(n, col), col.l_degree(n)) for col in columns(n, f)]
         if len(pool) <= _TEMPLATE_ROWS:  # a larger pool is not kept
-            index: dict = {}
-            rows = Monomial._rows((m for _, m, _ in pool), index)
+            index, pairs, rows = {}, {}, []  # pairs keeps one object per equal pair
+            for col, m, deg in pool:
+                items = []
+                for pair in m._e.items():
+                    pair = (index.setdefault(pair[0], len(index)), pair[1])
+                    items.append(pairs.setdefault(pair, pair))
+                rows.append(tuple(items))
             cols, _, degs = zip(*pool)
             variables = tuple((i, b.qexp - a.qexp) for i, b in index)
             _templates.keep(key, (type(cols[0]), variables, rows, [c.entries for c in cols], degs))

@@ -125,18 +125,6 @@ class Monomial:
         return out
 
     @staticmethod
-    def _rows(ms: Iterable["Monomial"], index: Dict[Tuple[int, Spectral], int]) -> List[tuple]:
-        """_family's rows of the monomials ms: their (position, exponent)
-        pairs, with positions from index, a {variable: position} map that is
-        extended in place; equal pairs are one object."""
-        pairs: dict = {}
-        rows = []
-        for m in ms:
-            row = ((index.setdefault(k, len(index)), v) for k, v in m._e.items())
-            rows.append(tuple(pairs.setdefault(p, p) for p in row))
-        return rows
-
-    @staticmethod
     def one() -> "Monomial":
         return _UNIT
 
@@ -226,7 +214,7 @@ _TEMPLATE_ROWS = 4096
 
 class _Templates(dict):
     """Translation templates by shape, least recently used first, within
-    _TEMPLATE_ROWS rows in all; a template's item 2 holds its rows."""
+    _TEMPLATE_ROWS rows in all; a template's item 2 holds one entry per row."""
 
     __slots__ = ()
 

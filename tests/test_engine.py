@@ -630,9 +630,9 @@ def direct_closure(d, top):
 
 
 def test_translated_closures_are_the_direct_closures():
-    # every node of A1-A8 and D4-D8: the first call, at cq^2, keeps its
-    # shape, the second compacts it, and each call translates it to its own
-    # centre, three of them on two bases.  D8 nodes 5 and 6 exceed the row
+    # every node of A1-A8 and D4-D8: the first call, a profiled one at cq^2,
+    # keeps its shape's template, and each later call translates it to its
+    # own centre, three of them on two bases.  D8 nodes 5 and 6 exceed the row
     # budget: they close every time, so one centre serves them.  At the last
     # centre the carried profiles are checked against v_profile on every
     # shape of at most 600 terms, and on the larger ones (D7 nodes 4-5, D8
@@ -646,8 +646,8 @@ def test_translated_closures_are_the_direct_closures():
             for a in (q(2, "c"), q(0), q(-3), q(5, "b")):
                 f = FundamentalSpec(node, a)
                 chi, profiles = direct_closure(d, f.top)
-                assert fundamental_character(d, f) == chi
                 terms = engine._fundamental_terms(d, f)
+                assert fundamental_character(d, f) == chi
                 assert len(terms) == len(chi)
                 for m, c, v in terms:
                     assert chi._t[m]._c == c and v == profiles[m]
@@ -761,23 +761,3 @@ def test_each_route_keeps_its_own_templates():
     tableaux_a.fundamental_char_tableaux(DynkinDiagram.type_a(13), 6, q(0))  # 3003 rows
     assert len(tableaux_a._templates) == 1
     assert list(engine._templates) == kept and engine._templates is not tableaux_a._templates
-
-
-def test_compaction_carries_drops_past_a_head_whose_coefficient_cancelled(a2):
-    # no closure found so far files a head whose coefficient cancels; if one
-    # did, the terms it reached would keep its origin, and their profiles
-    # must carry its drops too.  A2 node 1 closes Y(1,a) -> Y(1,aq^2)^-1
-    # Y(2,aq) -> Y(2,aq^3)^-1: drop the middle term from a kept template
-    f = FundamentalSpec(1, q(0))
-    engine._templates.clear()
-    fundamental_character(a2, f)
-    (key, (filed, frame, terms, origin)), = engine._templates.items()
-    mid = list(terms)[1]
-    engine._templates[key] = (filed, frame, {m: c for m, c in terms.items() if m != mid}, origin)
-    g = FundamentalSpec(1, q(4, "b"))
-    try:
-        (m0, _, v0), (m2, _, v2) = engine._fundamental_terms(a2, g)
-    finally:
-        engine._templates.clear()  # the doctored template must not reach other tests
-    assert m0 == g.top and v0 == {}
-    assert v2 == yalgebra.v_profile(a2, m2, g.top) and len(v2) == 2
