@@ -112,7 +112,9 @@ def _closed(
         moves = Monomial._family(keys, (row for _, row in steps))
         ms = [top]
         for head, j in zip(heads, kinds):
-            ms.append(ms[head] * moves[j])
+            m = ms[head]._patched(moves[j]._e.items(), moves[j]._hash)
+            m._e = dict(m._e.items())  # a patched copy keeps the table it grew
+            ms.append(m)
         terms = dict(zip(ms, coeffs))
     if not profiled:
         return terms, []
