@@ -646,36 +646,41 @@ def _class_product(
     d: DynkinDiagram, p: DrinfeldData, class_sum: Callable[[DrinfeldData], Raw], cap: int
 ) -> Character:
     """The plain product, as a Character, of the raw sums class_sum(cls) over
-    p's interaction classes; a join of more than cap term pairs is refused
-    before it is formed."""
+    p's interaction classes, each wrapped once by Character._from_raw; a join
+    of more than cap term pairs is refused before it is formed."""
     out = None
     for cls in p.classes(d):
         raw = class_sum(cls)
         if out is not None:
             _check_pairs(len(out), len(raw), cap)
-            raw = _times(out, raw)
-        out = raw
-    return Character.unit(d) if out is None else Character._from_raw(d, out)
+        terms = Character._from_raw(d, raw)._t
+        out = terms if out is None else _times(out, terms)
+    return Character.unit(d) if out is None else Character._raw(d, out)
 
 
-def _times(left: Raw, right: Raw) -> Raw:
-    """The plain product of the raw terms of different interaction classes.
+def _times(left: Dict[Monomial, IntLaurent], right: Dict[Monomial, IntLaurent]) -> dict:
+    """The plain product of the terms of different interaction classes.
 
-    The twist between classes is zero, so the coefficients only multiply.
-    The classes touch disjoint variables, so each pair of terms gives its own
-    monomial, on the union of the two exponent maps, and nothing merges.
+    The twist between classes is zero, so the coefficients only multiply, and
+    each distinct pair of the classes' shared IntLaurents, keyed by identity,
+    is multiplied once.  The classes touch disjoint variables, so each pair
+    of terms gives its own monomial, built as _raw builds it, inline, on the
+    union of the two exponent maps, and nothing merges.
     """
-    rows = [(m2._e, m2._hash, c2.items()) for m2, c2 in right.items()]
-    out: Raw = {}
+    rows = [(m2._e, m2._hash, id(c2)) for m2, c2 in right.items()]
+    distinct = {id(c2): c2 for c2 in right.values()}
+    products: Dict[int, List[IntLaurent]] = {}  # id(c1) -> c1 times each row's c2
+    out = {}
     for m1, c1 in left.items():
-        x1, h1, c1 = m1._e, m1._hash, c1.items()
-        for x2, h2, c2 in rows:
-            # inline: a laurent._mac call per pair (mostly 1-term maps) measured slower
-            acc: Dict[int, int] = {}
-            for e1, v1 in c1:
-                for e2, v2 in c2:
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
-            out[Monomial._raw({**x1, **x2}, h1 + h2)] = acc
+        cs = products.get(id(c1))
+        if cs is None:
+            p = {k: c1 * c2 for k, c2 in distinct.items()}
+            cs = products[id(c1)] = [p[k] for _, _, k in rows]
+        x1, h1 = m1._e, m1._hash
+        for (x2, h2, _), c in zip(rows, cs):
+            m = object.__new__(Monomial)
+            m._e, m._key, m._hash = {**x1, **x2}, None, (h1 + h2) % _HASH_MOD
+            out[m] = c
     return out
 
 
