@@ -23,7 +23,7 @@ from .errors import (
     _check_pairs,
     env_cap,
 )
-from .laurent import ONE, IntLaurent, _axpy, _mac
+from .laurent import ONE, IntLaurent, _axpy
 from .rootdata import DynkinDiagram
 from .yalgebra import (
     Character,
@@ -104,7 +104,8 @@ def _closed(
     elif template[0] > env_cap():
         raise CapExceededError(f"closure exceeded {env_cap()} monomials")
     else:
-        _, variables, coeffs, heads, kinds, steps, kept = template
+        _, variables, coeffs, heads, kinds, steps, kept, n = template
+        variables = variables if profiled else variables[:n]  # the rest, only profiles read
         bases = list(frame)  # by slot
         # each of the template's bases -> (this call's base in its slot, q shift)
         moved = {b: (bases[s], frame[bases[s]][1] - k) for b, (s, k) in kept.items()}
@@ -133,31 +134,29 @@ def _compact(filed: int, frame: dict, terms: Dict[Monomial, IntLaurent], origin:
     coefficients, each term's origin below the top as the index of its head
     and of its step, the distinct steps, each as its drops ((variable index,
     count) pairs) and the _family row of the monomial prod A^-count that
-    takes a head to the term, and frame.  Every head is one of the terms,
-    before every term it reached: it was flushed with a nonempty raw map,
-    and no closure found leaves a zero in one."""
+    takes a head to the term, frame, and the count of the variables the
+    rows read, numbered before those only the drops read.  Every head is one
+    of the terms, before every term it reached: it was flushed with a
+    nonempty raw map, and no closure found leaves a zero in one."""
     place = dict(zip(terms, count()))
     seen: Dict[tuple, int] = {}
-    index: Dict[Tuple[int, Spectral], int] = {}
-    heads, kinds, steps = array("i"), array("i"), []
+    quotients = []  # each distinct step's drops and its exponent map
+    heads, kinds = array("i"), array("i")
     for m in islice(terms, 1, None):
         head, v = origin[m]
-        j = seen.setdefault(v, len(steps))
-        if j == len(steps):
-            step = m._e.copy()  # m / head
-            for k, u in head._e.items():
-                u = step.get(k, 0) - u
-                if u:
-                    step[k] = u
-                else:
-                    del step[k]
-            steps.append((
-                tuple([(index.setdefault(k, len(index)), r) for k, r in v]),
-                tuple([(index.setdefault(k, len(index)), u) for k, u in step.items()]),
-            ))
+        j = seen.setdefault(v, len(quotients))
+        if j == len(quotients):
+            e, h = m._e, head._e  # m / head
+            quotients.append((v, {k: u for k in {**e, **h} if (u := e.get(k, 0) - h.get(k, 0))}))
         heads.append(place[head])
         kinds.append(j)
-    return filed, list(index), list(terms.values()), heads, kinds, steps, frame
+    read = dict.fromkeys(k for _, step in quotients for k in step)  # by the rows, numbered first
+    index = dict(zip({**read, **dict.fromkeys(k for v, _ in quotients for k, _ in v)}, count()))
+    steps = [
+        (tuple([(index[k], r) for k, r in v]), tuple([(index[k], u) for k, u in step.items()]))
+        for v, step in quotients
+    ]
+    return filed, list(index), list(terms.values()), heads, kinds, steps, frame, len(read)
 
 
 def _closure(d: DynkinDiagram, top: Monomial) -> Tuple[Raw, Dict[Monomial, tuple]]:
@@ -296,13 +295,13 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
     """
     # the half of the twist that depends on m2 alone, once per m2
     rows = [
-        (m2._e.items(), m2._hash, c2, _twist_exponent({}, m2, mp1, v2), _shift_down(v2))
+        (m2._e.items(), m2._hash, c2.items(), _twist_exponent({}, m2, mp1, v2), _shift_down(v2))
         for m2, c2, v2 in right
     ]
     out: Folded = {}
     for m1, (c1, (da, db)) in left.items():
         down1 = _axpy(dict(da), db)  # m1's own down-shifted profile
-        e1, h1 = m1._e, m1._hash
+        e1, h1, c1 = m1._e, m1._hash, c1.items()
         for x2, h2, c2, tw, down2 in rows:
             # Monomial._patched's loop, fused: the twist reads the same items
             e = e1.copy()
@@ -313,11 +312,16 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
                     e[k] = u
                 else:
                     del e[k]
-            key = Monomial._raw(e, h1 + h2)
+            key = object.__new__(Monomial)  # as Monomial._patched builds it, inline
+            key._e, key._key, key._hash = e, None, (h1 + h2) % _HASH_MOD
             entry = out.get(key)
             if entry is None:
                 entry = out[key] = ({}, (down1, down2))
-            _mac(entry[0], c1, c2, 2 * tw)
+            # laurent._mac's loop, inline: a call per pair (mostly 1-term maps) measured slower
+            acc, tw = entry[0], 2 * tw
+            for t1, v1 in c1:
+                for t2, v2 in c2:
+                    acc[t1 + t2 + tw] = acc.get(t1 + t2 + tw, 0) + v1 * v2
     return out
 
 
