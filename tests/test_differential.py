@@ -14,6 +14,7 @@ from math import comb, prod
 from hypothesis import given, settings, strategies as st
 
 from qtchar import tableaux_a, tableaux_d
+from qtchar.cli import parse_factors
 from qtchar.engine import (
     _fundamental_terms,
     fundamental_character,
@@ -153,6 +154,38 @@ def test_a_standard_character_is_the_plain_product_of_its_classes(case):
     assert len(chi) == prod(len(part) for part in parts)
     for out in parts + [chi, fold, tableaux]:
         assert_zero_free(out)
+
+
+# the multi-class products of the benchmark ladder, and one more of three
+# classes, with the roots per class
+JOINED = (
+    (DynkinDiagram.type_d(5), "1:a:0,2:a:1,spin+:a:2", [2, 1]),
+    (DynkinDiagram.type_a(4), "1:a:0,2:a:0,2:a:0,1:b:0", [1, 2, 1]),
+    (DynkinDiagram.type_d(5), "1:a:0,spin-:a:1,1:b:0", [2, 1]),
+    (DynkinDiagram.type_d(5), "1:a:0,1:a:2,1:a:1,1:b:0", [2, 1, 1]),
+)
+
+
+def assert_joined_naively(d: DynkinDiagram, p: DrinfeldData) -> None:
+    """Both routes' standard characters equal the naive plain product of the
+    classes' twisted folds: the one class join both routes share is
+    checked against code that shares nothing with it."""
+    chi = plain_product(d, [twisted_fold(d, cls) for cls in p.classes(d)])
+    tableaux = tableaux_a if d.kind == "A" else tableaux_d
+    assert standard_character(d, p) == chi == tableaux.standard_char_tableaux(d, p)
+
+
+def test_the_class_join_is_the_naive_product_on_the_joined_cases():
+    for d, factors, sizes in JOINED:
+        p = DrinfeldData(parse_factors(d, factors))
+        assert [len(cls) for cls in p.classes(d)] == sizes
+        assert_joined_naively(d, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(factor_lists().filter(lambda case: len({f.spectral.base for f in case[1].roots}) == 2))
+def test_the_class_join_is_the_naive_product_across_bases(case):
+    assert_joined_naively(*case)
 
 
 def test_a_cancelling_signed_product_stores_no_zero():

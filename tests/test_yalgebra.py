@@ -51,7 +51,7 @@ def test_monomial_basics():
     assert Monomial.one().is_unit()
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(
     st.dictionaries(
         st.tuples(st.integers(1, 4), st.sampled_from("ab"), st.integers(-3, 3)),
@@ -79,7 +79,7 @@ _EXPS = st.dictionaries(
 )
 
 
-@settings(max_examples=80)
+@settings(max_examples=80, deadline=None)
 @given(_EXPS, _EXPS, st.integers(-3, 3))
 def test_monomial_products_add_their_hashes(a, b, k):
     ea = {(n, Spectral(base, s)): e for (n, base, s), e in a.items()}
@@ -371,7 +371,7 @@ def test_right_negative():
         is_right_negative(ym((1, 0)) * Monomial.y(1, Spectral("b", 0)))
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_right_negative_multiplicative(data):
     def mono(draw):
@@ -488,6 +488,23 @@ def test_from_raw_shares_equal_coefficients(a2):
     assert c[ym((1, 0))] is c[ym((2, 0))] and c[ym((1, 2))] is c[ym((2, 2))]
     assert c[ym((1, 0))] is not c[ym((1, 2))]
     assert len({id(v) for v in c.values()}) == 3
+
+
+def test_times_multiplies_each_distinct_coefficient_pair_once():
+    up, down, one = IntLaurent({0: 1, 1: 1}), IntLaurent({0: 1, 1: -1}), IntLaurent({0: 1})
+    left = {ym((1, 0)): up, ym((1, 2)): up, ym((2, 4)): one}
+    right = {Monomial.y(1, q(0, "b")): down, Monomial.y(2, q(3, "b")): down}
+    out = yalgebra._times(left, right)
+    expected = {m1 * m2: c1 * c2 for m1, c1 in left.items() for m2, c2 in right.items()}
+    assert out == expected and all(hash(m) == hash(Monomial(m._e)) for m in out)
+    # (1 + t)(1 - t) = 1 - t^2: the cancelled t^1 is dropped, not kept as 0
+    products = [out[m1 * m2] for m1 in list(left)[:2] for m2 in right]
+    assert products[0]._c == {0: 1, 2: -1} and 1 not in products[0]._c
+    # the four term pairs that carry (up, down) share one product, and the
+    # pair (one, down) has its own
+    assert all(c is products[0] for c in products)
+    assert out[ym((2, 4)) * Monomial.y(1, q(0, "b"))] is not products[0]
+    assert yalgebra._times(left, {}) == {} == yalgebra._times({}, right)
 
 
 def test_templates_keep_their_row_budget_least_recently_used_first():
