@@ -312,8 +312,7 @@ def _fold(left: Folded, right: List[Term], mp1: Monomial) -> Folded:
                     e[k] = u
                 else:
                     del e[k]
-            key = object.__new__(Monomial)  # as Monomial._patched builds it, inline
-            key._e, key._key, key._hash = e, None, (h1 + h2) % _HASH_MOD
+            key = Monomial._raw(e, h1 + h2)
             entry = out.get(key)
             if entry is None:
                 entry = out[key] = ({}, (down1, down2))

@@ -664,8 +664,8 @@ def _times(left: Dict[Monomial, IntLaurent], right: Dict[Monomial, IntLaurent]) 
     The twist between classes is zero, so the coefficients only multiply, and
     each distinct pair of the classes' shared IntLaurents, keyed by identity,
     is multiplied once.  The classes touch disjoint variables, so each pair
-    of terms gives its own monomial, built as _raw builds it, inline, on the
-    union of the two exponent maps, and nothing merges.
+    of terms gives its own monomial, on the union of the two exponent maps,
+    and nothing merges.
     """
     rows = [(m2._e, m2._hash, id(c2)) for m2, c2 in right.items()]
     distinct = {id(c2): c2 for c2 in right.values()}
@@ -678,9 +678,7 @@ def _times(left: Dict[Monomial, IntLaurent], right: Dict[Monomial, IntLaurent]) 
             cs = products[id(c1)] = [p[k] for _, _, k in rows]
         x1, h1 = m1._e, m1._hash
         for (x2, h2, _), c in zip(rows, cs):
-            m = object.__new__(Monomial)
-            m._e, m._key, m._hash = {**x1, **x2}, None, (h1 + h2) % _HASH_MOD
-            out[m] = c
+            out[Monomial._raw({**x1, **x2}, h1 + h2)] = c
     return out
 
 

@@ -11,6 +11,7 @@ coefficients in Z[t^2, t^-2]."""
 import json
 from math import comb, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtchar import tableaux_a, tableaux_d
@@ -137,10 +138,10 @@ def test_standard_character_is_the_twisted_fold_and_the_tableaux_sum(case):
     assert character_from_json(d, json.loads(json.dumps(character_to_json(chi)))) == chi
 
 
-@settings(max_examples=40, deadline=None)
-@given(factor_lists().filter(lambda case: len(case[1].classes(case[0])) >= 2))
-def test_a_standard_character_is_the_plain_product_of_its_classes(case):
-    d, p = case
+def assert_plain_product_of_classes(d: DynkinDiagram, p: DrinfeldData) -> None:
+    """Both routes' standard characters, and the twisted fold, equal the
+    naive plain product of the classes' characters: the one class join both
+    routes share is checked against code that shares nothing with it."""
     classes = p.classes(d)
     assert sorted(f for cls in classes for f in cls.roots) == sorted(p.roots)
     parts = [standard_character(d, cls) for cls in classes]
@@ -156,6 +157,12 @@ def test_a_standard_character_is_the_plain_product_of_its_classes(case):
         assert_zero_free(out)
 
 
+@settings(max_examples=40, deadline=None)
+@given(factor_lists().filter(lambda case: len(case[1].classes(case[0])) >= 2))
+def test_a_standard_character_is_the_plain_product_of_its_classes(case):
+    assert_plain_product_of_classes(*case)
+
+
 # the multi-class products of the benchmark ladder, and one more of three
 # classes, with the roots per class
 JOINED = (
@@ -166,26 +173,11 @@ JOINED = (
 )
 
 
-def assert_joined_naively(d: DynkinDiagram, p: DrinfeldData) -> None:
-    """Both routes' standard characters equal the naive plain product of the
-    classes' twisted folds: the one class join both routes share is
-    checked against code that shares nothing with it."""
-    chi = plain_product(d, [twisted_fold(d, cls) for cls in p.classes(d)])
-    tableaux = tableaux_a if d.kind == "A" else tableaux_d
-    assert standard_character(d, p) == chi == tableaux.standard_char_tableaux(d, p)
-
-
-def test_the_class_join_is_the_naive_product_on_the_joined_cases():
-    for d, factors, sizes in JOINED:
-        p = DrinfeldData(parse_factors(d, factors))
-        assert [len(cls) for cls in p.classes(d)] == sizes
-        assert_joined_naively(d, p)
-
-
-@settings(max_examples=30, deadline=None)
-@given(factor_lists().filter(lambda case: len({f.spectral.base for f in case[1].roots}) == 2))
-def test_the_class_join_is_the_naive_product_across_bases(case):
-    assert_joined_naively(*case)
+@pytest.mark.parametrize("d, factors, sizes", JOINED, ids=[f for _, f, _ in JOINED])
+def test_the_joined_cases_are_the_plain_product_of_their_classes(d, factors, sizes):
+    p = DrinfeldData(parse_factors(d, factors))
+    assert [len(cls) for cls in p.classes(d)] == sizes
+    assert_plain_product_of_classes(d, p)
 
 
 def test_a_cancelling_signed_product_stores_no_zero():
